@@ -8,8 +8,7 @@
 /// Shared machinery for the per-figure benchmark binaries: suite
 /// execution, reduction computation, geometric means and table printing.
 /// Each binary regenerates one table/figure of the paper and prints the
-/// measured series next to the paper's published numbers (EXPERIMENTS.md
-/// records the comparison).
+/// measured series next to the paper's published numbers.
 ///
 /// Environment knobs:
 ///   SALSSA_BENCH_SCALE  - divide every profile's function count by this

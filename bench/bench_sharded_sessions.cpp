@@ -4,9 +4,9 @@
 //
 // Measures what sharding buys a whole-program session: a heterogeneous
 // group (several suites, several return-type classes, split across TUs)
-// is merged as one unsharded CrossModuleMerger session and as a
-// ShardedSessionRunner at several shard counts, on the same thread
-// budget. Sharding replaces the optimistic attempt-stage parallelism
+// is merged by CrossModuleMerger as one shard ("unsharded": ShardCount =
+// 1, every class in one pipeline) and at several shard counts, on the
+// same thread budget. Sharding replaces the optimistic attempt-stage parallelism
 // (speculation waste, serial commit bottleneck, window barriers) with
 // fully independent pipelines over provably independent partitions — the
 // whole session, ranking and commits included, runs in parallel.
@@ -31,7 +31,7 @@
 
 #include "BenchUtils.h"
 #include "ir/IRPrinter.h"
-#include "merge/ShardedSessionRunner.h"
+#include "merge/CrossModuleMerger.h"
 #include <cstring>
 #include <thread>
 

@@ -86,7 +86,7 @@ public:
   /// Aggregate view of one merge-compatibility partition (all live
   /// entries sharing a return type — the only candidates ever at finite
   /// distance from each other, hence the provable independence boundary
-  /// sharded sessions split on; see ShardedSessionRunner.h). Summaries
+  /// sharded sessions split on; see CrossModuleMerger.h). Summaries
   /// are reported in *first-insertion order*, which is deterministic
   /// given the caller's insertion order — never in hash-map order.
   struct PartitionSummary {

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The cross-module (whole-program) merging session. The paper evaluates
-/// SalSSA inside one translation unit, but its ranking and alignment
-/// machinery is module-agnostic; following the direction of "Optimistic
-/// Global Function Merger" (Lee et al.), this session links any number of
-/// Modules into one shared CandidateIndex and lets the MergePipeline
-/// rank, attempt and commit merges across module boundaries.
+/// The merging session — the one path every merge takes into
+/// MergePipeline (runFunctionMerging is a one-module session). The paper
+/// evaluates SalSSA inside one translation unit, but its ranking and
+/// alignment machinery is module-agnostic; following the direction of
+/// "Optimistic Global Function Merger" (Lee et al.), this session links
+/// any number of Modules into one candidate pool and lets the
+/// MergePipeline rank, attempt and commit merges across module
+/// boundaries.
 ///
 /// Session lifecycle:
 ///
@@ -29,16 +31,51 @@
 /// translation units fail to match at every call site and cross-module
 /// merging loses most of its profit.
 ///
+/// Every session then runs partition -> shard pipelines -> splice. A pool
+/// decomposes into *merge-compatibility classes*: pairs with different
+/// return types rank at +inf and never survive, and a merged function
+/// keeps its inputs' return type, so the per-return-type partitions are
+/// provably independent, including every remerge generation.
+///
+///   partition  the classes are discovered through a planning
+///              CandidateIndex's partition summaries and packed onto
+///              MergeDriverOptions::ShardCount shards by greedy
+///              longest-processing-time assignment under an
+///              alignment-cost weight (Σ size² per class). Equal-weight
+///              classes are ordered by a seed mixing the class's
+///              first-appearance rank with its fingerprint coarse bucket,
+///              so ties spread deterministically. The resulting balance
+///              is reported as MergeDriverStats::ShardImbalance.
+///
+///   run        each shard is an independent MergePipeline over its
+///              classes' functions only, generating merged functions into
+///              a shard-local scratch host module. Shards execute
+///              concurrently on support/ThreadPool: they touch disjoint
+///              functions, the shared Context interns under a lock, and
+///              constants/globals are use-untracked (see ir/README.md).
+///
+///   splice     spliceSlices (MergePipeline.h) moves the results into the
+///              real host serially, in the exact order one pipeline over
+///              the whole pool would have produced them — same records,
+///              same unique-name sequence, same function order.
+///
+/// ShardCount = 1 is the degenerate one-shard plan. In *every* selection
+/// mode the result is bit-identical at every shard count x thread count
+/// (tests/sharded_session_test.cpp): Distance gets this from the class
+/// independence above, the profit-guided modes from per-class
+/// calibration (MergePipeline.h). This shard-invariance is also what
+/// lets one DecisionCachePath warm sessions at any shard count.
+///
 /// Host module: every merged function materializes in exactly one
 /// designated module, the *host* (default: the first registered module).
-/// Attempts still build speculative functions in per-worker staging
-/// modules; the commit stage moves the winner into the host with
-/// Module::takeFunction/adoptFunction and rewrites both inputs — in
-/// whichever modules they live — into thunks that tail-call the merged
-/// function. Thunks keep each input's name, signature and module, so
-/// every caller in every registered module (and any external caller) is
-/// rewritten *implicitly*: call sites are untouched, the callee's body
-/// dispatches. This is the paper's committing scheme, applied across
+/// Attempts build merged functions in per-shard scratch modules (and
+/// per-worker staging modules); the splice moves every winner into the
+/// host with Module::takeFunction/adoptFunction, and the commit stage
+/// rewrites both inputs — in whichever modules they live — into thunks
+/// that tail-call the merged function. Thunks keep each input's name,
+/// signature and module, so every caller in every registered module (and
+/// any external caller) is rewritten *implicitly*: call sites are
+/// untouched, the callee's body dispatches. This is the paper's committing scheme, applied across
 /// modules; the merged function is externally visible by construction
 /// since calls resolve by Function pointer, not by per-module symbol
 /// tables. Call-site redirection (rewriting callers to invoke the merged
@@ -51,9 +88,7 @@
 /// order, creation order) — all deterministic — and the MergePipeline's
 /// optimistic-commit replay is module-count-agnostic, so for any module
 /// set the session commits identical merges with identical records,
-/// names and module bytes at every thread count. With one registered
-/// module the session reproduces runFunctionMerging bit for bit
-/// (MergeDriverOptions::CrossModule A/Bs exactly that).
+/// names and module bytes at every thread and shard count.
 ///
 /// Candidate selection: the session's global greedy order can consume
 /// partners that per-module runs pair better — at a coarse split (K=2)
@@ -69,7 +104,8 @@
 /// Ownership/teardown: after a session, merged functions in the host keep
 /// operand references to input modules' globals. Own the registered
 /// modules with a ModuleGroup (ir/Module.h) so teardown order cannot
-/// dangle those references.
+/// dangle those references. The shard scratch hosts are internal and are
+/// destroyed — provably empty — before run() returns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,19 +163,17 @@ public:
   /// own every merged function, overriding MergeDriverOptions::Host.
   /// Without an explicit host, run() resolves the configured HostPolicy
   /// (First — the legacy default —, Biggest, or Hottest; see
-  /// selectHostModule in ShardedSessionRunner.h).
+  /// selectHostModule).
   void setHostModule(Module &M);
 
-  /// The explicitly designated host; before run() resolves a policy this
-  /// reports the would-be HostPolicy::First choice.
+  /// The explicit host, or — after run() — the policy-resolved one;
+  /// before run() resolves a policy this reports the would-be
+  /// HostPolicy::First choice.
   Module *hostModule() const { return Host; }
   size_t numModules() const { return Modules.size(); }
 
   /// Runs the session to quiescence. Call exactly once, after all
-  /// addModule calls. When MergeDriverOptions::ShardCount != 1 the
-  /// session delegates to a ShardedSessionRunner over the same module
-  /// set and host — the sharded execution of exactly this session (see
-  /// ShardedSessionRunner.h for the equivalence contract).
+  /// addModule calls.
   CrossModuleStats run();
 
 private:
@@ -149,6 +183,17 @@ private:
   bool ExplicitHost = false;
   bool Ran = false;
 };
+
+/// Resolves \p Policy over \p Modules (registration order): the module
+/// every merged function will materialize in. Biggest measures
+/// estimateModuleSize under \p Arch; Hottest counts call sites across
+/// the whole set whose callee is *defined* in the candidate module —
+/// sessions call this AFTER cross-module symbol resolution, so calls
+/// that reached a definition through a per-TU extern declaration count
+/// toward the definition's module. All ties resolve to the
+/// earlier-registered module. Returns null for an empty set.
+Module *selectHostModule(const std::vector<Module *> &Modules,
+                         HostPolicy Policy, TargetArch Arch);
 
 } // namespace salssa
 

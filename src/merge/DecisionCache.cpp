@@ -41,7 +41,9 @@ uint64_t DecisionCache::optionsFingerprint(const MergeDriverOptions &O) {
   H = mixOption(H, static_cast<uint64_t>(O.Technique));
   H = mixOption(H, O.EnablePhiCoalescing ? 1 : 0);
   H = mixOption(H, static_cast<uint64_t>(O.Arch));
-  H = mixOption(H, static_cast<uint64_t>(O.Ranking));
+  // The slot of the retired ranking-strategy option, pinned to the value
+  // its CandidateIndex setting had: existing cache files stay valid.
+  H = mixOption(H, 1);
   H = mixOption(H, static_cast<uint64_t>(O.Selection));
   H = mixOption(H, O.ExplorationThreshold);
   H = mixOption(H, O.AllowRemerge ? 1 : 0);

@@ -114,7 +114,7 @@ struct DecisionCacheUpdate {
 
 /// The cache proper: an in-memory decision map with versioned,
 /// checksummed binary persistence. Owned by the session
-/// (CrossModuleMerger / ShardedSessionRunner); pipelines see a
+/// (CrossModuleMerger / MergeService); pipelines see a
 /// read-only view plus an update vector (merge/MergePipeline.h).
 class DecisionCache {
 public:

@@ -7,72 +7,20 @@
 #include "merge/MergeDriver.h"
 #include "ir/Module.h"
 #include "merge/CrossModuleMerger.h"
-#include "merge/MergePipeline.h"
-#include "support/Chrono.h"
 #include "transforms/Mem2Reg.h"
 #include "transforms/Reg2Mem.h"
 #include "transforms/Simplify.h"
-#include <chrono>
-#include <map>
 
 using namespace salssa;
 
 MergeDriverStats salssa::runFunctionMerging(Module &M,
                                             const MergeDriverOptions &Options) {
-  // A/B route: the cross-module session with one registered module must
-  // reproduce the direct path bit for bit (cross_module_test enforces
-  // it). Sharded runs (ShardCount != 1) take the same route — the
-  // session layer owns shard orchestration — and so do the structural-
-  // hash fast path and the decision cache, which are session-level
-  // stages (pre-cluster pass, cache load/save).
-  if (Options.CrossModule || Options.ShardCount != 1 ||
-      Options.HashClustering || !Options.DecisionCachePath.empty()) {
-    MergeDriverOptions Direct = Options;
-    Direct.CrossModule = false; // the session drives the pipeline itself
-    CrossModuleMerger Session(Direct);
-    Session.addModule(M);
-    return Session.run().Driver;
-  }
-
-  MergeDriverStats Stats;
-  Context &Ctx = M.getContext();
-  auto T0 = std::chrono::steady_clock::now();
-  const bool IsFMSA = Options.Technique == MergeTechnique::FMSA;
-
-  // Snapshot profitability baselines before any preprocessing.
-  std::map<Function *, unsigned> BaselineSize;
-  for (Function *F : M.functions())
-    if (!F->isDeclaration())
-      BaselineSize[F] = estimateFunctionSize(*F, Options.Arch);
-
-  // FMSA preprocessing: demote every definition in place.
-  if (IsFMSA)
-    for (Function *F : M.functions())
-      if (!F->isDeclaration())
-        demoteRegistersToMemory(*F, Ctx);
-
-  // The staged driver: rank / attempt / commit (MergePipeline.h). Serial
-  // when Options.NumThreads == 1, optimistic rounds on a worker pool
-  // otherwise — the committed merges are identical either way.
-  {
-    MergePipeline Pipeline(M, Options, BaselineSize, Stats);
-    Pipeline.run();
-  }
-
-  // FMSA post-pass: the late pipeline re-promotes what demotion left
-  // behind in unmerged functions (usually restoring them, hence the tiny
-  // residue the paper measures).
-  if (IsFMSA) {
-    for (Function *F : M.functions()) {
-      if (F->isDeclaration())
-        continue;
-      promoteAllocasToRegisters(*F, Ctx);
-      simplifyFunction(*F, Ctx);
-    }
-  }
-
-  Stats.TotalSeconds = secondsSince(T0);
-  return Stats;
+  // One module-level pass is a one-module session: the session owns the
+  // FMSA pre/post passes, sharding, the structural-hash fast path and the
+  // decision cache, so every merge takes the same path into the pipeline.
+  CrossModuleMerger Session(Options);
+  Session.addModule(M);
+  return Session.run().Driver;
 }
 
 void salssa::runFMSAResidueOnly(Module &M) {

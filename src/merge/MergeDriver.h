@@ -29,18 +29,6 @@ namespace salssa {
 
 class Module;
 
-/// How the driver ranks merge candidates for each function.
-enum class RankingStrategy : uint8_t {
-  /// The paper's scheme verbatim: rescan the whole pool per function —
-  /// O(n²·buckets). Kept for A/B benchmarking (bench_ranking_scaling).
-  BruteForce,
-  /// CandidateIndex: LSH-seeded, size-bounded exact top-k with
-  /// incremental maintenance — near-linear in practice, and guaranteed
-  /// to select the same candidates (hence commit the same merges) as
-  /// BruteForce.
-  CandidateIndex,
-};
-
 /// Pass configuration. A mirror of this struct — one row per knob with
 /// default, units and interactions — lives in src/merge/README.md
 /// ("Options reference"); keep the two in step.
@@ -72,13 +60,8 @@ struct MergeDriverOptions {
   /// (as in the paper). Default true; false caps every function at one
   /// merge generation.
   bool AllowRemerge = true;
-  /// Candidate ranking implementation; results are identical by
-  /// construction (candidate_index_test pins it), only the
-  /// pairing-phase cost differs. Default CandidateIndex (near-linear);
-  /// BruteForce is the paper's O(n²) scan kept for A/B benchmarking.
-  RankingStrategy Ranking = RankingStrategy::CandidateIndex;
-  /// Candidate *selection* policy layered on top of the ranking (see
-  /// SelectionStrategy, MergeOptions.h). Distance (the default) keeps
+  /// Candidate *selection* policy layered on top of the CandidateIndex
+  /// ranking (see SelectionStrategy, MergeOptions.h). Distance (the default) keeps
   /// the paper's scheme and is bit-identical to the pre-selection-layer
   /// driver; Profit re-ranks a widened slate by estimated profit with
   /// same-module tie-breaking; Adaptive additionally drives the
@@ -96,32 +79,23 @@ struct MergeDriverOptions {
   /// (bounds speculative memory and staleness). 0 picks
   /// max(32, 8 x threads). Ignored in the serial path.
   unsigned CommitWindow = 0;
-  /// A/B guard for the cross-module machinery: when true,
-  /// runFunctionMerging routes through a CrossModuleMerger session with
-  /// this one module registered. The contract — enforced by
-  /// tests/cross_module_test.cpp — is that the result is bit-identical
-  /// to the direct path (same merges, records, names, module bytes), so
-  /// any divergence the cross-module generalization ever introduces
-  /// into the single-module driver is caught immediately.
-  bool CrossModule = false;
-  /// Parallel sharding of a whole-program session (ShardedSessionRunner):
-  /// the pool's merge-compatibility classes (per-return-type partitions —
-  /// provably independent, since cross-type pairs rank at +inf) are
-  /// packed onto this many shards, each run as an independent serial
-  /// pipeline on the worker pool, then spliced back serially with the
-  /// unsharded session's exact record order and name allocation.
-  ///   1 (default)  unsharded (the plain CrossModuleMerger pipeline);
+  /// Shards of a merge session (CrossModuleMerger.h): every session
+  /// packs the pool's merge-compatibility classes (per-return-type
+  /// partitions — provably independent, since cross-type pairs rank at
+  /// +inf) onto this many shards, runs each as an independent pipeline
+  /// on the worker pool, then splices the results back serially in the
+  /// exact record order and name allocation of one whole-pool pipeline.
+  ///   1 (default)  one shard holding every class;
   ///   0            auto: min(resolved NumThreads, live classes);
   ///   N > 1        clamped to the number of live classes.
-  /// The sharded result is bit-identical to the unsharded session at
-  /// every shard x thread count in *every* selection mode
-  /// (sharded_session_test pins it): the profit-guided modes calibrate
-  /// their ProfitModel — and drive the adaptive threshold — per
-  /// merge-compatibility class, and a class's serial observation
-  /// sequence is the same whether its pipeline runs unsharded or inside
-  /// any shard plan (cross-class pairs never rank, so classes never
-  /// exchange observations). This shard-invariance is also what lets
-  /// one DecisionCachePath warm sessions at any shard count.
+  /// The result is bit-identical at every shard x thread count in
+  /// *every* selection mode (sharded_session_test pins it): the
+  /// profit-guided modes calibrate their ProfitModel — and drive the
+  /// adaptive threshold — per merge-compatibility class, and a class's
+  /// serial observation sequence is the same in any shard plan
+  /// (cross-class pairs never rank, so classes never exchange
+  /// observations). This shard-invariance is also what lets one
+  /// DecisionCachePath warm sessions at any shard count.
   unsigned ShardCount = 1;
   /// Host-module selection for whole-program sessions when the caller
   /// does not pick one explicitly (see HostPolicy, MergeOptions.h):
@@ -231,10 +205,8 @@ struct MergeDriverStats {
   /// intentionally not recorded — they have no serial counterpart).
   std::vector<MergeRecord> Records;
 
-  // Pipeline instrumentation. NumThreadsUsed is 1 in the serial path
-  // (including the tiny-pool fallback); the counters below it are only
-  // ever non-zero when the optimistic parallel path ran.
-  unsigned NumThreadsUsed = 1; ///< resolved worker count
+  // Pipeline instrumentation: only ever non-zero when the optimistic
+  // parallel path ran.
   unsigned SpeculativeAttempts = 0; ///< attempts executed by workers
   unsigned SpeculativeDiscarded = 0; ///< speculative attempts thrown away
   unsigned InlineReattempts = 0; ///< commit-stage re-runs after conflicts
@@ -246,7 +218,6 @@ struct MergeDriverStats {
   /// skipped entry is a *predicted* conflict, not an observed one).
   unsigned CommitConflicts = 0;
   unsigned SpeculationsSkipped = 0; ///< window entries not speculated
-  double AttemptStageSeconds = 0; ///< wall time of parallel attempt stages
 
   // Failure containment (the attempt guard / commit firewall /
   // quarantine ladder; see "Failure containment & fault injection" in
@@ -270,22 +241,20 @@ struct MergeDriverStats {
   unsigned AdaptiveThresholdMax = 0;   ///< peak exploration threshold
   unsigned AdaptiveThresholdFinal = 0; ///< threshold after the last entry
 
-  // Sharded-session instrumentation (ShardedSessionRunner; both keep
-  // their defaults on unsharded runs). ShardCount is the *effective*
-  // shard count after clamping to the number of live compatibility
-  // classes. ShardImbalance is max shard weight / mean shard weight
-  // under the balancer's alignment-cost proxy (Σ size² per class), 1.0 =
-  // perfectly balanced, 0 when the pool was empty — the number to watch
-  // when sharded wall-clock stops tracking 1/ShardCount.
+  // Sharded-session instrumentation (CrossModuleMerger). ShardCount is
+  // the *effective* shard count after clamping to the number of live
+  // compatibility classes. ShardImbalance is max shard weight / mean
+  // shard weight under the balancer's alignment-cost proxy (Σ size² per
+  // class), 1.0 = perfectly balanced, 0 when the pool was empty — the
+  // number to watch when sharded wall-clock stops tracking 1/ShardCount.
   unsigned ShardCount = 1;
   double ShardImbalance = 1.0;
 
-  // Pairing-work counters (RankingStrategy::CandidateIndex only; 0 for
-  // brute force). Deterministic — unlike RankingSeconds — so regression
-  // guards can compare pairing *work* across selection modes without
-  // wall-clock noise: the bounded-extension contract is precisely that
-  // profit-guided slates do not widen the walk (bench_selection
-  // enforces the ratio).
+  // CandidateIndex pairing-work counters. Deterministic — unlike
+  // RankingSeconds — so regression guards can compare pairing *work*
+  // across selection modes without wall-clock noise: the
+  // bounded-extension contract is precisely that profit-guided slates do
+  // not widen the walk (bench_selection enforces the ratio).
   uint64_t PairingDistanceCalls = 0; ///< exact distance evaluations
   uint64_t PairingProbes = 0; ///< LSH seed probes + size-bucket steps
 

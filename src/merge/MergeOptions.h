@@ -53,8 +53,7 @@ enum class SelectionStrategy : uint8_t {
 
 /// How a whole-program session picks the *host* module — the one module
 /// every merged function materializes in (CrossModuleMerger,
-/// ShardedSessionRunner). An explicit setHostModule always wins over the
-/// policy.
+/// MergeService). An explicit setHostModule always wins over the policy.
 enum class HostPolicy : uint8_t {
   /// The first registered module (the legacy behaviour).
   First,

@@ -18,44 +18,6 @@ using namespace salssa;
 
 namespace {
 
-/// Brute-force ranking, the paper's scheme verbatim: scan every live
-/// pool entry, sort by (distance, pool position), truncate to top-k.
-/// Kept bit-compatible with CandidateIndex::query for A/B comparison —
-/// including the EstProfit annotation and the bounded extension (up to
-/// \p ExtraK continuation entries within the K-th-best distance) when
-/// the profit-guided selection modes ask for them, so every selection
-/// mode is ranking-strategy-agnostic.
-template <typename PoolTy>
-std::vector<CandidateIndex::Hit>
-bruteForceRank(const PoolTy &Pool, size_t I, unsigned K,
-               const ProfitModel *Model = nullptr, unsigned ExtraK = 0) {
-  std::vector<CandidateIndex::Hit> Candidates;
-  for (size_t J = 0; J < Pool.size(); ++J) {
-    if (J == I || Pool[J].Consumed)
-      continue;
-    uint64_t D = fingerprintDistance(Pool[I].FP, Pool[J].FP);
-    if (D == UINT64_MAX)
-      continue; // incompatible return types
-    Candidates.push_back({D, static_cast<uint32_t>(J), Pool[J].ModuleId});
-  }
-  std::stable_sort(Candidates.begin(), Candidates.end(),
-                   [](const CandidateIndex::Hit &A,
-                      const CandidateIndex::Hit &B) {
-                     return A.Distance < B.Distance;
-                   });
-  if (Candidates.size() > K) {
-    uint64_t KthBest = Candidates[K - 1].Distance;
-    size_t End = std::min(Candidates.size(), size_t(K) + ExtraK);
-    while (End > K && Candidates[End - 1].Distance > KthBest)
-      --End;
-    Candidates.resize(End);
-  }
-  if (Model)
-    for (CandidateIndex::Hit &H : Candidates)
-      H.EstProfit = Model->estimate(Pool[I].FP, Pool[H.Id].FP, H.Distance);
-  return Candidates;
-}
-
 /// Moves an attempt out of its task slot, leaving the slot inert so
 /// discardRemaining cannot double-free the speculative function.
 MergeAttempt takeAttempt(MergeAttempt &Slot) {
@@ -66,39 +28,22 @@ MergeAttempt takeAttempt(MergeAttempt &Slot) {
 
 } // namespace
 
-MergePipeline::MergePipeline(Module &M, const MergeDriverOptions &Options,
-                             const std::map<Function *, unsigned> &BaselineSize,
-                             MergeDriverStats &Stats)
-    : MergePipeline(std::vector<Module *>{&M}, M, Options, BaselineSize,
-                    Stats) {}
-
-MergePipeline::MergePipeline(const std::vector<Module *> &Modules,
-                             Module &Host, const MergeDriverOptions &Options,
-                             const std::map<Function *, unsigned> &BaselineSize,
-                             MergeDriverStats &Stats)
-    : MergePipeline(Modules, Host, Options, BaselineSize, Stats,
-                    PipelineShardScope()) {}
-
 MergePipeline::MergePipeline(const std::vector<Module *> &Modules,
                              Module &Host, const MergeDriverOptions &Options,
                              const std::map<Function *, unsigned> &BaselineSize,
                              MergeDriverStats &Stats,
                              const PipelineShardScope &Scope)
-    : Modules(Modules), Host(Host),
-      Materialize(Scope.Materialize ? Scope.Materialize : &Host),
-      PoolFilter(Scope.PoolFilter), PrecomputedFPs(Scope.Fingerprints),
-      Journal(Scope.Journal), Options(Options),
-      BaselineSize(BaselineSize), Stats(Stats),
+    : Modules(Modules), Host(Host), Materialize(*Scope.Materialize),
+      PoolFilter(*Scope.PoolFilter), Fingerprints(*Scope.Fingerprints),
+      Journal(*Scope.Journal), Options(Options), BaselineSize(BaselineSize),
+      Stats(Stats),
       CGOpts(MergeCodeGenOptions::forTechnique(Options.Technique,
-                                               Options.EnablePhiCoalescing)),
-      UseIndex(Options.Ranking == RankingStrategy::CandidateIndex) {
-  assert(!this->Modules.empty() && "pipeline needs at least one module");
-  assert((Materialize == &Host ||
-          (std::find(this->Modules.begin(), this->Modules.end(),
-                     Materialize) == this->Modules.end() &&
-           &Materialize->getContext() == &Host.getContext())) &&
-         "a scratch materialization module must be outside the module set "
-         "and share the host's Context");
+                                               Options.EnablePhiCoalescing)) {
+  assert(std::find(this->Modules.begin(), this->Modules.end(),
+                   &Materialize) == this->Modules.end() &&
+         &Materialize.getContext() == &Host.getContext() &&
+         "the scratch materialization module must be outside the module "
+         "set and share the host's Context");
   auto HostIt = std::find(this->Modules.begin(), this->Modules.end(), &Host);
   assert(HostIt != this->Modules.end() && "host must be a registered module");
   HostId = static_cast<uint32_t>(HostIt - this->Modules.begin());
@@ -139,32 +84,22 @@ void MergePipeline::buildPool() {
   // Build the candidate pool over every registered module. Like the
   // paper, merging proceeds from the largest functions to the smallest;
   // the stable sort breaks size ties by (module registration order,
-  // creation order), which is what makes a one-module cross-module run
-  // replay the single-module driver exactly.
+  // creation order).
   for (size_t Mi = 0; Mi < Modules.size(); ++Mi) {
     for (Function *F : Modules[Mi]->functions()) {
-      // Under a shard scope the filter is the authoritative pool
-      // predicate: the runner computed it from mergeable functions
-      // before any shard launched, and checking it FIRST keeps this
-      // shard from reading a foreign function's body state (its block
-      // list) while another shard's commit stage is rewriting it into a
-      // thunk — a data race isMergeable() would otherwise introduce.
-      if (PoolFilter) {
-        if (!PoolFilter->count(F))
-          continue; // outside this shard's merge-compatibility classes
-      } else if (!F->isMergeable()) {
+      // The filter is the authoritative pool predicate: the session
+      // computed it from mergeable functions before any slice launched,
+      // and checking it instead of isMergeable() keeps this slice from
+      // reading a foreign function's body state (its block list) while
+      // another slice's commit stage is rewriting it into a thunk.
+      if (!PoolFilter.count(F))
         continue;
-      }
+      auto FPIt = Fingerprints.find(F);
+      assert(FPIt != Fingerprints.end() &&
+             "precomputed fingerprints must cover the filtered pool");
       PoolEntry E;
       E.F = F;
-      if (PrecomputedFPs) {
-        auto FPIt = PrecomputedFPs->find(F);
-        assert(FPIt != PrecomputedFPs->end() &&
-               "precomputed fingerprints must cover the filtered pool");
-        E.FP = *FPIt->second;
-      } else {
-        E.FP = fingerprintFor(*F, Options.Canonicalize);
-      }
+      E.FP = *FPIt->second;
       E.CostSize = BaselineSize.at(F);
       E.ModuleId = static_cast<uint32_t>(Mi);
       Pool.push_back(E);
@@ -178,9 +113,8 @@ void MergePipeline::buildPool() {
   // Index every live pool entry by id == pool position. The index is
   // maintained incrementally: committed merges retire their inputs and
   // remerge entries are inserted, so no pool rescan ever happens.
-  if (UseIndex)
-    for (size_t I = 0; I < Pool.size(); ++I)
-      Index.insert(static_cast<uint32_t>(I), Pool[I].FP, Pool[I].ModuleId);
+  for (size_t I = 0; I < Pool.size(); ++I)
+    Index.insert(static_cast<uint32_t>(I), Pool[I].FP, Pool[I].ModuleId);
 
   // Cache keys are assigned in serial pool order — the occurrence index
   // is positional, so this must happen after the sort and must be the
@@ -296,26 +230,16 @@ void MergePipeline::profitRerank(std::vector<CandidateIndex::Hit> &Hits,
 }
 
 std::vector<CandidateIndex::Hit> MergePipeline::rank(size_t I) {
-  // Both ranking strategies produce the same list; only the cost differs
-  // (this is the Stats.RankingSeconds A/B that bench_ranking_scaling
-  // measures). The selection mode then decides what the driver does
-  // with the distance ranking.
+  // The selection mode decides what the driver does with the distance
+  // ranking.
   auto RankT0 = std::chrono::steady_clock::now();
   std::vector<CandidateIndex::Hit> Candidates;
   const unsigned T = effectiveThreshold(Pool[I].FP.RetTy);
-  if (Options.Selection == SelectionStrategy::Distance) {
-    // The paper's scheme verbatim — bit-identical to the
-    // pre-selection-layer driver.
-    Candidates = UseIndex
-                     ? Index.query(Pool[I].FP, T, static_cast<uint32_t>(I))
-                     : bruteForceRank(Pool, I, T);
-  } else if (Pool[I].IsRemerge) {
-    // Merged functions re-entering the pool sit outside the model's
-    // calibration (their fingerprints carry fid-dispatch overhead), so
-    // their entries keep the paper's distance ordering.
-    Candidates = UseIndex
-                     ? Index.query(Pool[I].FP, T, static_cast<uint32_t>(I))
-                     : bruteForceRank(Pool, I, T);
+  if (Options.Selection == SelectionStrategy::Distance || Pool[I].IsRemerge) {
+    // The paper's scheme verbatim. Merged functions re-entering the pool
+    // keep it under every mode: they sit outside the model's calibration
+    // (their fingerprints carry fid-dispatch overhead).
+    Candidates = Index.query(Pool[I].FP, T, static_cast<uint32_t>(I));
   } else {
     // Profit-guided: distance is only a proxy for profit, and the exact
     // top-t by *estimated profit* is not index-computable (overlap does
@@ -324,10 +248,8 @@ std::vector<CandidateIndex::Hit> MergePipeline::rank(size_t I) {
     // best distance, recycled from the walk the top-t query pays for
     // anyway — and re-rank the slate by the model.
     ProfitModel &PM = classState(Pool[I].FP.RetTy).Profit;
-    Candidates = UseIndex
-                     ? Index.query(Pool[I].FP, T, static_cast<uint32_t>(I),
-                                   &PM, SlateExtra)
-                     : bruteForceRank(Pool, I, T, &PM, SlateExtra);
+    Candidates = Index.query(Pool[I].FP, T, static_cast<uint32_t>(I), &PM,
+                             SlateExtra);
     profitRerank(Candidates, Pool[I].ModuleId, T);
   }
   Stats.RankingSeconds += secondsSince(RankT0);
@@ -385,8 +307,7 @@ bool MergePipeline::quarantineIfStruckOut(size_t I) {
   // paying for it. Never reached on a healthy run (attempts there never
   // fail), so the ladder is invisible to the zero-fault contract.
   Pool[I].Consumed = true;
-  if (UseIndex)
-    Index.retire(static_cast<uint32_t>(I));
+  Index.retire(static_cast<uint32_t>(I));
   ++Stats.QuarantinedFunctions;
   if (QuarantineSink)
     QuarantineSink->push_back(Pool[I].F);
@@ -411,8 +332,7 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
     // snapshot attempts already ran).
     if (Spec)
       discardRemaining(*Spec);
-    if (Journal)
-      Journal->push_back(PipelineEntryTrace());
+    Journal.push_back(PipelineEntryTrace());
     return;
   }
   // Quarantine gate: strikes accrued as a partner of earlier entries may
@@ -421,8 +341,7 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
   if (quarantineIfStruckOut(I)) {
     if (Spec)
       discardRemaining(*Spec);
-    if (Journal)
-      Journal->push_back(PipelineEntryTrace());
+    Journal.push_back(PipelineEntryTrace());
     return;
   }
   // Warm fast path: replay the recorded decision when one exists and
@@ -436,7 +355,6 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
   PipelineEntryTrace Trace;
   Trace.EntryFn = Pool[I].F;
   Function *F1 = Pool[I].F;
-  Context &Ctx = Host.getContext();
   ClassSelectionState &CS = classState(Pool[I].FP.RetTy);
   // Live-path recording: an entry is cacheable only when its whole slate
   // ran clean (every attempt completed, nothing verifier-rejected) — a
@@ -486,19 +404,15 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
       A = takeAttempt(Spec->Attempts[static_cast<size_t>(SpecSlot)]);
       // Replay the name id the serial generator would have consumed for
       // this attempt; the winner is adopted under it below.
-      StagedName = Materialize->makeUniqueName(F1->getName() + ".m");
+      StagedName = Materialize.makeUniqueName(F1->getName() + ".m");
     } else {
-      // Inline attempts generate directly into the materialization
-      // module — normally the host (for a single registered module that
-      // is F1's own module: the legacy behaviour, same name-counter burn
-      // per attempt; for a cross-module run it is where the winner must
-      // end up anyway), the shard scratch host under a shard scope.
-      // Guarded: a faulted pair faults here exactly as it would have on
+      // Inline attempts generate directly into the slice's scratch
+      // host, burning its name counter once per attempt. Guarded: a faulted pair faults here exactly as it would have on
       // the speculative path (decisions are keyed by names), so the
       // serial record stream is thread-count-invariant even under
       // injected faults.
       A = guardedAttempt(*F1, *F2, Pool[I].CostSize, Pool[R.Id].CostSize,
-                         Materialize, /*Failures=*/nullptr);
+                         &Materialize, /*Failures=*/nullptr);
       // Driver-thread accumulator (workers own theirs; see
       // MergeDriverStats).
       Stats.AlignmentSeconds += A.Stats.AlignmentSeconds;
@@ -631,34 +545,38 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
     // struck it out and nothing committed, retire it now instead of
     // re-ranking it as everyone else's partner forever.
     quarantineIfStruckOut(I);
-    if (Journal)
-      Journal->push_back(std::move(Trace));
+    Journal.push_back(std::move(Trace));
     return;
   }
 
-  // Commit: thunk both inputs (each in its own module), retire them from
-  // the pool, and offer the merged function — which lives in the
-  // materialization module — for further merging.
+  // A reused speculative attempt lives in its worker's staging module;
+  // inline attempts already generated into Materialize.
   if (!BestName.empty())
-    adoptMergedFunction(Best, *Materialize, BestName);
-  commitMerge(Best, Ctx);
+    adoptMergedFunction(Best, Materialize, BestName);
+  commitWinner(I, BestIdx, Best, BestRecord, BestSlate, Trace);
+}
+
+void MergePipeline::commitWinner(size_t I, size_t PartnerIdx,
+                                 MergeAttempt &Best, size_t BestRecord,
+                                 size_t WinnerOffset,
+                                 PipelineEntryTrace &Trace) {
+  // Thunk both inputs (each in its own module), retire them from the
+  // pool, and offer the merged function — which lives in the
+  // materialization module — for further merging.
+  commitMerge(Best, Host.getContext());
   ++Stats.CommittedMerges;
-  if (Pool[I].ModuleId != Pool[BestIdx].ModuleId)
+  if (Pool[I].ModuleId != Pool[PartnerIdx].ModuleId)
     ++Stats.CrossModuleMerges;
   // Mark the exact attempt that won by record index: name matching
   // could flag the wrong record when the same pair is re-attempted
   // across pool iterations.
   Stats.Records[BestRecord].Committed = true;
-  if (Journal) {
-    Trace.WinnerRecord = static_cast<int32_t>(BestSlate);
-    Trace.Merged = Best.Gen.Merged;
-  }
+  Trace.WinnerRecord = static_cast<int32_t>(WinnerOffset);
+  Trace.Merged = Best.Gen.Merged;
   Pool[I].Consumed = true;
-  Pool[BestIdx].Consumed = true;
-  if (UseIndex) {
-    Index.retire(static_cast<uint32_t>(I));
-    Index.retire(static_cast<uint32_t>(BestIdx));
-  }
+  Pool[PartnerIdx].Consumed = true;
+  Index.retire(static_cast<uint32_t>(I));
+  Index.retire(static_cast<uint32_t>(PartnerIdx));
   if (Options.AllowRemerge) {
     PoolEntry E;
     E.F = Best.Gen.Merged;
@@ -667,14 +585,12 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
     E.ModuleId = HostId;
     E.IsRemerge = true;
     Pool.push_back(E);
-    if (UseIndex)
-      Index.insert(static_cast<uint32_t>(Pool.size() - 1), Pool.back().FP,
-                   HostId);
+    Index.insert(static_cast<uint32_t>(Pool.size() - 1), Pool.back().FP,
+                 HostId);
     if (Cache || CacheUpdates)
       assignCacheKey(Pool.size() - 1);
   }
-  if (Journal)
-    Journal->push_back(std::move(Trace));
+  Journal.push_back(std::move(Trace));
 }
 
 bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
@@ -700,13 +616,13 @@ bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
   PipelineEntryTrace Trace;
   Trace.EntryFn = Pool[I].F;
   Function *F1 = Pool[I].F;
-  Context &Ctx = Host.getContext();
   ClassSelectionState &CS = classState(Pool[I].FP.RetTy);
   const bool ProfitGuided = Options.Selection != SelectionStrategy::Distance;
 
   MergeAttempt Best;
   uint32_t BestIdx = 0;
   size_t BestRecord = 0;
+  size_t BestOffset = 0;
   for (size_t A = 0; A < D->Attempts.size(); ++A) {
     const CachedAttempt &CA = D->Attempts[A];
     Function *F2 = Pool[Partner[A]].F;
@@ -718,7 +634,7 @@ bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
       // Skipped non-winner: no pipeline runs, but the unique name its
       // cold-run code generation burned is burned anyway — the counter
       // must stay in lockstep for byte-identical modules downstream.
-      Materialize->makeUniqueName(F1->getName() + ".m");
+      Materialize.makeUniqueName(F1->getName() + ".m");
       Rec.Stats.Outcome = AttemptOutcome::CacheSkipped;
       Rec.Stats.SizeF1 = Pool[I].CostSize;
       Rec.Stats.SizeF2 = Pool[Partner[A]].CostSize;
@@ -746,7 +662,7 @@ bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
     AR.SeqLen2 = CA.SeqLen2;
     AR.Entries = &CA.Align;
     MergeAttempt W = guardedAttempt(*F1, *F2, Pool[I].CostSize,
-                                    Pool[Partner[A]].CostSize, Materialize,
+                                    Pool[Partner[A]].CostSize, &Materialize,
                                     /*Failures=*/nullptr, &AR);
     Stats.AlignmentSeconds += W.Stats.AlignmentSeconds;
     Stats.CodeGenSeconds += W.Stats.CodeGenSeconds;
@@ -772,7 +688,7 @@ bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
         Best = W;
         BestIdx = Partner[A];
         BestRecord = RecIdx;
-        Trace.WinnerRecord = static_cast<int32_t>(A);
+        BestOffset = A;
       }
     } else if (W.Valid) {
       discardMerge(W);
@@ -788,40 +704,12 @@ bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
   ++Stats.CacheHits;
 
   if (!Best.Valid) {
-    if (Journal)
-      Journal->push_back(std::move(Trace));
+    Journal.push_back(std::move(Trace));
     return true;
   }
-
-  // Commit tail, verbatim from the live path (inline attempts generate
-  // directly into Materialize, so no adoption step is needed).
-  commitMerge(Best, Ctx);
-  ++Stats.CommittedMerges;
-  if (Pool[I].ModuleId != Pool[BestIdx].ModuleId)
-    ++Stats.CrossModuleMerges;
-  Stats.Records[BestRecord].Committed = true;
-  Trace.Merged = Best.Gen.Merged;
-  Pool[I].Consumed = true;
-  Pool[BestIdx].Consumed = true;
-  if (UseIndex) {
-    Index.retire(static_cast<uint32_t>(I));
-    Index.retire(BestIdx);
-  }
-  if (Options.AllowRemerge) {
-    PoolEntry E;
-    E.F = Best.Gen.Merged;
-    E.FP = fingerprintFor(*E.F, Options.Canonicalize);
-    E.CostSize = estimateFunctionSize(*E.F, Options.Arch);
-    E.ModuleId = HostId;
-    E.IsRemerge = true;
-    Pool.push_back(E);
-    if (UseIndex)
-      Index.insert(static_cast<uint32_t>(Pool.size() - 1), Pool.back().FP,
-                   HostId);
-    assignCacheKey(Pool.size() - 1);
-  }
-  if (Journal)
-    Journal->push_back(std::move(Trace));
+  // Inline replay attempts generate directly into Materialize, so no
+  // adoption step is needed.
+  commitWinner(I, BestIdx, Best, BestRecord, BestOffset, Trace);
   return true;
 }
 
@@ -950,7 +838,6 @@ void MergePipeline::runParallel(unsigned NumThreads) {
     // since the snapshot) and build speculative functions in their own
     // staging module; the shared Context interns under a lock.
     if (!Tasks.empty()) {
-      auto StageT0 = std::chrono::steady_clock::now();
       std::atomic<size_t> NextTask{0};
       for (size_t W = 0; W < State.size(); ++W) {
         WorkerState &WS = State[W];
@@ -996,7 +883,6 @@ void MergePipeline::runParallel(unsigned NumThreads) {
         });
       }
       Workers.wait();
-      Stats.AttemptStageSeconds += secondsSince(StageT0);
     }
 
     // Commit stage: serial, in pool order, with optimistic
@@ -1012,10 +898,10 @@ void MergePipeline::runParallel(unsigned NumThreads) {
       if (TaskCursor < Tasks.size() && Tasks[TaskCursor].PoolIdx == I) {
         AttemptTask &T = Tasks[TaskCursor++];
         commitEntry(T.PoolIdx, T.Speculate ? &T : nullptr);
-      } else if (Journal) {
+      } else {
         PipelineEntryTrace Trace;
         Trace.EntryFn = Pool[I].Consumed ? nullptr : Pool[I].F;
-        Journal->push_back(std::move(Trace));
+        Journal.push_back(std::move(Trace));
       }
     }
 
@@ -1048,17 +934,105 @@ void MergePipeline::runParallel(unsigned NumThreads) {
 void MergePipeline::run() {
   Stats.AdaptiveThresholdMax = std::max(Stats.AdaptiveThresholdMax, BaseT);
   unsigned NumThreads = ThreadPool::resolveThreadCount(Options.NumThreads);
-  if (NumThreads <= 1 || Pool.size() < 2) {
-    Stats.NumThreadsUsed = 1; // tiny pools fall back to the serial path
-    runSerial();
-  } else {
-    Stats.NumThreadsUsed = NumThreads;
+  if (NumThreads <= 1 || Pool.size() < 2)
+    runSerial(); // tiny pools fall back to the serial path
+  else
     runParallel(NumThreads);
-  }
   Stats.AdaptiveThresholdFinal = maxThreshold();
-  if (UseIndex) {
-    Stats.PairingDistanceCalls = Index.stats().DistanceCalls;
-    Stats.PairingProbes =
-        Index.stats().SeedProbes + Index.stats().ExpansionSteps;
+  Stats.PairingDistanceCalls = Index.stats().DistanceCalls;
+  Stats.PairingProbes = Index.stats().SeedProbes + Index.stats().ExpansionSteps;
+}
+
+//===----------------------------------------------------------------------===//
+// Splice
+//===----------------------------------------------------------------------===//
+
+void salssa::spliceSlices(Module &Host, const std::vector<SpliceSlice> &Slices,
+                          std::vector<uint32_t> Walk, bool AllowRemerge,
+                          MergeDriverStats &Into) {
+  // Take every committed merged function out of its current parent (a
+  // scratch host, or Host itself for a class whose journal a MergeService
+  // retained from an earlier epoch): re-adoption in replay order then
+  // rebuilds Host's function order, and no stale name can deflect a burn.
+  std::map<Function *, std::unique_ptr<Function>> Taken;
+  for (const SpliceSlice &S : Slices)
+    for (const PipelineEntryTrace &Trace : *S.Journal)
+      if (Trace.WinnerRecord >= 0)
+        Taken[Trace.Merged] =
+            Trace.Merged->getParent()->takeFunction(Trace.Merged);
+
+  struct Cursor {
+    size_t J = 0; ///< next journal entry
+    size_t R = 0; ///< next record
+  };
+  std::vector<Cursor> Cursors(Slices.size());
+  for (size_t Q = 0; Q < Walk.size(); ++Q) {
+    const SpliceSlice &S = Slices[Walk[Q]];
+    Cursor &Cur = Cursors[Walk[Q]];
+    assert(Cur.J < S.Journal->size() &&
+           "slice journal exhausted before the replayed walk");
+    const PipelineEntryTrace &Trace = (*S.Journal)[Cur.J++];
+    for (size_t R = 0; R < Trace.Partners.size(); ++R) {
+      MergeRecord Rec = S.Stats->Records[Cur.R + R];
+      Rec.Name1 = Trace.EntryFn->getName();
+      Rec.Name2 = Trace.Partners[R]->getName();
+      // An attempt burns a unique name iff its code generation ran
+      // (Completed and BudgetBody outcomes); faulted or
+      // alignment-budget-rejected attempts burned nothing, and replaying
+      // a burn for them would skew every later merged name off the
+      // whole-pool run's sequence.
+      std::string Burned;
+      if (attemptBurnedName(Rec.Stats.Outcome))
+        Burned = Host.makeUniqueName(Rec.Name1 + ".m");
+      if (static_cast<int32_t>(R) == Trace.WinnerRecord)
+        Host.adoptFunction(std::move(Taken.at(Trace.Merged)), Burned);
+      Into.Records.push_back(std::move(Rec));
+    }
+    Cur.R += Trace.Partners.size();
+    if (Trace.WinnerRecord >= 0 && AllowRemerge)
+      Walk.push_back(Walk[Q]); // the remerge entry joins its own slice
+  }
+
+  // Fold the slice stats (records were merged above, in replay order).
+  // Timing fields are sums of per-slice accounting — CPU-second semantics
+  // across slices, exactly like the per-worker accumulators inside one
+  // pipeline. The containment and cache counters are serial-commit-stage
+  // counts, so their sums are deterministic. Session-level counters
+  // (HashClusterCommits, FingerprintFaults, CacheLoadRejected) belong to
+  // the caller.
+  for (size_t I = 0; I < Slices.size(); ++I) {
+    const MergeDriverStats &S = *Slices[I].Stats;
+    assert(Cursors[I].J == Slices[I].Journal->size() &&
+           Cursors[I].R == S.Records.size() &&
+           "splice must consume every slice journal entry and record");
+    Into.Attempts += S.Attempts;
+    Into.ProfitableMerges += S.ProfitableMerges;
+    Into.CommittedMerges += S.CommittedMerges;
+    Into.CrossModuleMerges += S.CrossModuleMerges;
+    Into.AlignmentSeconds += S.AlignmentSeconds;
+    Into.CodeGenSeconds += S.CodeGenSeconds;
+    Into.RankingSeconds += S.RankingSeconds;
+    Into.SpeculativeAttempts += S.SpeculativeAttempts;
+    Into.SpeculativeDiscarded += S.SpeculativeDiscarded;
+    Into.InlineReattempts += S.InlineReattempts;
+    Into.CommitConflicts += S.CommitConflicts;
+    Into.SpeculationsSkipped += S.SpeculationsSkipped;
+    Into.AttemptFailures += S.AttemptFailures;
+    Into.BudgetRejects += S.BudgetRejects;
+    Into.VerifierRejects += S.VerifierRejects;
+    Into.QuarantinedFunctions += S.QuarantinedFunctions;
+    Into.SpeculativeFailures += S.SpeculativeFailures;
+    Into.TaskFailures += S.TaskFailures;
+    Into.PairingDistanceCalls += S.PairingDistanceCalls;
+    Into.PairingProbes += S.PairingProbes;
+    Into.CacheHits += S.CacheHits;
+    Into.CacheMisses += S.CacheMisses;
+    Into.CacheSkips += S.CacheSkips;
+    Into.PeakAlignmentBytes =
+        std::max(Into.PeakAlignmentBytes, S.PeakAlignmentBytes);
+    Into.AdaptiveThresholdMax =
+        std::max(Into.AdaptiveThresholdMax, S.AdaptiveThresholdMax);
+    Into.AdaptiveThresholdFinal =
+        std::max(Into.AdaptiveThresholdFinal, S.AdaptiveThresholdFinal);
   }
 }

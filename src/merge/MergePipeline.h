@@ -38,17 +38,17 @@
 /// Unique-name allocation is replayed at commit time so that even the
 /// name counters advance exactly as in the serial driver.
 ///
-/// The pipeline is module-set-agnostic: it runs over a list of registered
-/// modules with one designated *host* module (CrossModuleMerger drives
-/// that mode; see its header for the session semantics). Pool entries
-/// carry their module id, the CandidateIndex ranks all modules' live
-/// candidates in one structure, attempts pair functions across module
-/// boundaries exactly like intra-module pairs, and every merged function
-/// — speculative or inline — is generated into (or adopted by) the host
-/// module, with thunks committed in the inputs' own modules. With a
-/// single registered module every code path degenerates to the
-/// single-module driver bit for bit, and the determinism contract above
-/// holds unchanged for any module count at any thread count.
+/// The pipeline is module-set-agnostic and always runs as one slice of a
+/// session: CrossModuleMerger (one pipeline per shard) and MergeService
+/// (one per dirty merge-compatibility class) construct it with a full
+/// PipelineShardScope — the slice's pool filter, precomputed
+/// fingerprints, a scratch module to materialize merged functions in,
+/// and the journal spliceSlices() later replays into the real host.
+/// Pool entries carry their module id, the CandidateIndex ranks all
+/// modules' live candidates in one structure, and attempts pair
+/// functions across module boundaries exactly like intra-module pairs,
+/// with thunks committed in the inputs' own modules. The determinism
+/// contract above holds for any module count at any thread count.
 ///
 /// The profit-guided selection modes keep their calibration (ProfitModel
 /// EMA) and adaptive exploration state *per merge-compatibility class*
@@ -92,9 +92,9 @@ class Module;
 
 /// Journal record of one commitEntry invocation, appended in serial pool
 /// order (exactly one per pool entry, empty for entries that produced no
-/// attempts). ShardedSessionRunner replays these journals to splice
-/// per-shard results back into the host module with the exact attempt
-/// order, record order and unique-name sequence of an unsharded run:
+/// attempts). spliceSlices() replays these journals to splice per-slice
+/// results back into the host module with the exact attempt order,
+/// record order and unique-name sequence of one whole-pool run:
 /// names are re-derived from the Function pointers at splice time (by
 /// then every earlier merged function already carries its final host
 /// name), so shard-local staging names never leak into the result.
@@ -112,31 +112,27 @@ struct PipelineEntryTrace {
   Function *Merged = nullptr;
 };
 
-/// Narrowing scope for one shard of a sharded session (see
-/// ShardedSessionRunner.h). All three fields are optional; a
-/// default-constructed scope reproduces the plain cross-module pipeline.
+/// The slice of a session one pipeline runs over. The first four fields
+/// are required; the rest are optional.
 struct PipelineShardScope {
-  /// Module that receives every generated merged function instead of the
-  /// host (a shard-local scratch host). The pipeline's *logical* host —
-  /// remerge module ids, cross-module accounting, same-module
-  /// tie-breaking — stays the real host; only materialization (function
-  /// creation, unique-name burning, adoption) is redirected. Must not be
-  /// one of the registered modules and must share their Context.
+  /// Module that receives every generated merged function (a
+  /// slice-local scratch host). The pipeline's *logical* host — remerge
+  /// module ids, cross-module accounting, same-module tie-breaking — is
+  /// the real host; only materialization (function creation,
+  /// unique-name burning, adoption) happens here. Must not be one of the
+  /// registered modules and must share their Context.
   Module *Materialize = nullptr;
-  /// When set, only functions in this set enter the candidate pool. The
-  /// caller guarantees the set is merge-closed (no function outside it
-  /// can ever rank against one inside — per-return-type partitions have
-  /// this property; see ShardedSessionRunner.h).
+  /// Exactly the functions that enter the candidate pool. The caller
+  /// guarantees the set is merge-closed (no function outside it can ever
+  /// rank against one inside — unions of per-return-type classes have
+  /// this property; see CrossModuleMerger.h).
   const std::unordered_set<const Function *> *PoolFilter = nullptr;
-  /// Optional precomputed fingerprints covering (at least) every
-  /// function in PoolFilter, captured at the same lifecycle point
-  /// buildPool would compute them (post FMSA demotion, pre merging).
-  /// Saves the sharded runner's planning pass from being recomputed
-  /// once more per shard. Pointees must outlive the pipeline.
+  /// Fingerprints covering (at least) every function in PoolFilter,
+  /// captured post FMSA demotion, pre merging. Pointees must outlive the
+  /// pipeline.
   const std::unordered_map<const Function *, const Fingerprint *>
       *Fingerprints = nullptr;
-  /// When set, one PipelineEntryTrace is appended per pool entry in
-  /// serial pool order.
+  /// Receives one PipelineEntryTrace per pool entry in serial pool order.
   std::vector<PipelineEntryTrace> *Journal = nullptr;
   /// Read-only warm decision cache (merge/DecisionCache.h). When set,
   /// every pool entry gets a (StructuralHash, occurrence) key and the
@@ -157,29 +153,45 @@ struct PipelineShardScope {
   std::vector<Function *> *Quarantined = nullptr;
 };
 
-/// One run of the staged merge driver over a module. Constructed with the
-/// pool's profitability baselines (captured before any preprocessing),
-/// then driven once via run(). Aggregates into the caller's
-/// MergeDriverStats; see MergeDriverStats for the threading semantics of
-/// the timing fields.
+/// One independently run slice of a session's pool — a CrossModuleMerger
+/// shard or a MergeService class — as the splice consumes it.
+struct SpliceSlice {
+  const std::vector<PipelineEntryTrace> *Journal = nullptr;
+  const MergeDriverStats *Stats = nullptr;
+};
+
+/// Splices per-slice pipeline results into \p Host in the exact order one
+/// pipeline over the whole pool would have produced them. \p Walk holds
+/// the slice index of every original pool entry in global pool order
+/// (size descending); remerge entries are appended to it as the replay
+/// commits, exactly like the pipeline's own pool walk. Each step consumes
+/// its slice's next journal entry; per-class processing is identical in
+/// every slicing, so the interleaved streams reconstruct the whole-pool
+/// record order. One unique name is burned in \p Host per record whose
+/// attempt burned one, and each committed merged function — taken from
+/// whichever module holds it, a scratch host or \p Host itself — is
+/// re-adopted into \p Host under the name burned at its own record, so
+/// the name sequence and function order are the serial allocator's.
+/// Record names are re-derived from Function pointers at each step.
+/// Appends the replayed records to \p Into.Records and folds every
+/// slice's counters into \p Into (sums, and maxima for the peak fields).
+void spliceSlices(Module &Host, const std::vector<SpliceSlice> &Slices,
+                  std::vector<uint32_t> Walk, bool AllowRemerge,
+                  MergeDriverStats &Into);
+
+/// One run of the staged merge driver over one session slice. Constructed
+/// with the pool's profitability baselines (captured before any
+/// preprocessing), then driven once via run(). Aggregates into the
+/// caller's MergeDriverStats; see MergeDriverStats for the threading
+/// semantics of the timing fields.
 class MergePipeline {
 public:
-  /// Single-module run over \p M (the classic driver).
-  MergePipeline(Module &M, const MergeDriverOptions &Options,
-                const std::map<Function *, unsigned> &BaselineSize,
-                MergeDriverStats &Stats);
-  /// Cross-module run over \p Modules. All modules must share one
-  /// Context; \p Host (which must be a member of \p Modules) receives
-  /// every merged function. \p BaselineSize must cover every definition
-  /// of every module. Registration order is part of the determinism
-  /// contract: it fixes pool order among equal-sized functions.
-  MergePipeline(const std::vector<Module *> &Modules, Module &Host,
-                const MergeDriverOptions &Options,
-                const std::map<Function *, unsigned> &BaselineSize,
-                MergeDriverStats &Stats);
-  /// Sharded variant: like the cross-module constructor, additionally
-  /// narrowed by \p Scope (see PipelineShardScope). ShardedSessionRunner
-  /// is the only intended caller.
+  /// A run over the \p Scope slice of \p Modules. All modules must share
+  /// one Context; \p Host (a member of \p Modules) is the module every
+  /// merged function ends up in after the splice. \p BaselineSize must
+  /// cover every pool function. Registration order is part of the
+  /// determinism contract: it fixes pool order among equal-sized
+  /// functions.
   MergePipeline(const std::vector<Module *> &Modules, Module &Host,
                 const MergeDriverOptions &Options,
                 const std::map<Function *, unsigned> &BaselineSize,
@@ -198,7 +210,7 @@ private:
     Function *F = nullptr;
     Fingerprint FP;
     unsigned CostSize = 0;  ///< profitability baseline (pre-demotion size)
-    uint32_t ModuleId = 0;  ///< index into Modules (0 when single-module)
+    uint32_t ModuleId = 0;  ///< index into Modules
     bool Consumed = false;
     /// True for merged functions re-offered to the pool. Their bodies
     /// carry fid-dispatch overhead (selects, label selection, phis) the
@@ -245,7 +257,7 @@ private:
   // --- rank stage -----------------------------------------------------------
   void buildPool();
   /// Top-t live candidates for pool entry \p I under the configured
-  /// ranking strategy and selection mode (instrumented into
+  /// selection mode (instrumented into
   /// Stats.RankingSeconds). Under SelectionStrategy::Profit/Adaptive the
   /// distance slate is widened with the bounded extension, annotated
   /// with ProfitModel estimates and re-ranked by (bucketed profit,
@@ -270,6 +282,14 @@ private:
   /// the most profitable one. Exactly replays the serial driver's
   /// attempt order, record order and name allocation.
   void commitEntry(size_t I, AttemptTask *Spec);
+  /// The commit tail shared by the live path and cache replay: thunks
+  /// both inputs of \p Best (entry \p I, partner \p PartnerIdx), marks
+  /// record \p BestRecord committed, retires both inputs, offers the
+  /// merged function back to the pool and journals \p Trace with the
+  /// winner at offset \p WinnerOffset of its partners.
+  void commitWinner(size_t I, size_t PartnerIdx, MergeAttempt &Best,
+                    size_t BestRecord, size_t WinnerOffset,
+                    PipelineEntryTrace &Trace);
   /// Discards every speculative attempt of \p Spec not consumed yet.
   void discardRemaining(AttemptTask &Spec);
   /// Guarded attempt: attemptMerge behind the attempt guard. Every
@@ -317,14 +337,13 @@ private:
   std::vector<Module *> Modules;
   Module &Host; ///< the logical host; a member of Modules
   /// Where merged functions are actually generated/adopted and unique
-  /// names burned: &Host normally, the shard scratch host under a
-  /// PipelineShardScope (ShardedSessionRunner re-burns the real host's
-  /// names at splice time).
-  Module *Materialize = nullptr;
-  const std::unordered_set<const Function *> *PoolFilter = nullptr;
+  /// names burned: the slice's scratch host (the splice re-burns the real
+  /// host's names).
+  Module &Materialize;
+  const std::unordered_set<const Function *> &PoolFilter;
   const std::unordered_map<const Function *, const Fingerprint *>
-      *PrecomputedFPs = nullptr;
-  std::vector<PipelineEntryTrace> *Journal = nullptr;
+      &Fingerprints;
+  std::vector<PipelineEntryTrace> &Journal;
   uint32_t HostId = 0; ///< Host's index in Modules (remerge entries' id)
   const MergeDriverOptions &Options;
   const std::map<Function *, unsigned> &BaselineSize;
@@ -341,7 +360,6 @@ private:
 
   std::vector<PoolEntry> Pool;
   CandidateIndex Index;
-  bool UseIndex = false;
 
   // --- profit-guided selection state ----------------------------------------
   // Everything below only ever advances inside commitEntry (the serial

@@ -9,7 +9,6 @@
 #include "ir/Instruction.h"
 #include "ir/Module.h"
 #include "merge/DecisionCache.h"
-#include "merge/ShardedSessionRunner.h"
 #include "support/Chrono.h"
 #include "support/ThreadPool.h"
 #include "transforms/Canonicalize.h"
@@ -486,14 +485,13 @@ void MergeService::runEpoch(const std::set<Type *> &Dirty,
             std::to_string(RunIdx++),
         Host->getContext());
     CS.RunOptions = Options.Driver;
-    CS.RunOptions.ShardCount = 1;
     Runs.push_back(&CS);
   }
 
   // Schedule the dirty-class pipelines. ShardCount == 1 runs them
   // serially (inner pipelines keep the full thread budget); any other
   // value batches them over the pool, splitting the thread budget like
-  // ShardedSessionRunner does per shard. Outcomes are identical either
+  // CrossModuleMerger does per shard. Outcomes are identical either
   // way — classes are independent and each pipeline is thread-invariant.
   const unsigned NumThreads =
       ThreadPool::resolveThreadCount(Options.Driver.NumThreads);
@@ -552,7 +550,13 @@ void MergeService::runEpoch(const std::set<Type *> &Dirty,
   // from the runs above, clean ones from their retained journals — with
   // the host's name counter reset to the pre-merge base, so names,
   // record order and FunctionOrder reconstruct the from-scratch run
-  // (the ShardedSessionRunner splice, classes as shards).
+  // (CrossModuleMerger's splice, classes as shards).
+  std::vector<SpliceSlice> Slices;
+  std::map<Type *, uint32_t> SliceOf;
+  for (const auto &KV : Classes) {
+    SliceOf[KV.first] = static_cast<uint32_t>(Slices.size());
+    Slices.push_back({&KV.second.Journal, &KV.second.Stats});
+  }
   struct PlanEntry {
     Function *F;
     const Fingerprint *FP;
@@ -572,66 +576,20 @@ void MergeService::runEpoch(const std::set<Type *> &Dirty,
                    [](const PlanEntry &A, const PlanEntry &B) {
                      return A.FP->Size > B.FP->Size;
                    });
-
-  // Take every committed merged function out of its current parent
-  // (scratch for fresh runs, host for clean classes) so re-adoption
-  // rebuilds the host's FunctionOrder in replay order.
-  std::map<Function *, std::unique_ptr<Function>> Taken;
-  for (auto &KV : Classes)
-    for (const PipelineEntryTrace &Trace : KV.second.Journal)
-      if (Trace.WinnerRecord >= 0)
-        Taken[Trace.Merged] =
-            Trace.Merged->getParent()->takeFunction(Trace.Merged);
+  std::vector<uint32_t> Walk;
+  Walk.reserve(Plan.size());
+  for (const PlanEntry &E : Plan)
+    Walk.push_back(SliceOf.at(E.FP->RetTy));
 
   Host->setUniqueNameCounter(HostCounterBase);
-  struct Cursor {
-    size_t J = 0;
-    size_t R = 0;
-  };
-  std::map<Type *, Cursor> Cursors;
-  std::vector<Type *> Queue;
-  Queue.reserve(Plan.size());
-  for (const PlanEntry &E : Plan)
-    Queue.push_back(E.FP->RetTy);
-
   CrossModuleStats &Session = Out.Session;
-  for (size_t Q = 0; Q < Queue.size(); ++Q) {
-    ClassState &CS = Classes.at(Queue[Q]);
-    Cursor &Cur = Cursors[Queue[Q]];
-    assert(Cur.J < CS.Journal.size() &&
-           "class journal exhausted before the replayed walk");
-    const PipelineEntryTrace &Trace = CS.Journal[Cur.J++];
-    for (size_t R = 0; R < Trace.Partners.size(); ++R) {
-      MergeRecord Rec = CS.Stats.Records[Cur.R + R];
-      Rec.Name1 = Trace.EntryFn->getName();
-      Rec.Name2 = Trace.Partners[R]->getName();
-      std::string Burned;
-      if (attemptBurnedName(Rec.Stats.Outcome))
-        Burned = Host->makeUniqueName(Rec.Name1 + ".m");
-      if (static_cast<int32_t>(R) == Trace.WinnerRecord)
-        Host->adoptFunction(std::move(Taken.at(Trace.Merged)), Burned);
-      Session.Driver.Records.push_back(std::move(Rec));
-    }
-    Cur.R += Trace.Partners.size();
-    if (Trace.WinnerRecord >= 0 && Options.Driver.AllowRemerge)
-      Queue.push_back(Queue[Q]);
-  }
-
-  // Scratch hosts must be fully drained; the clean classes' cursors must
-  // land exactly at their journal ends.
+  spliceSlices(*Host, Slices, std::move(Walk), Options.Driver.AllowRemerge,
+               Session.Driver);
   for (ClassState *CS : Runs) {
     assert(CS->Scratch->functions().empty() &&
            "splice left a merged function behind in a scratch host");
     CS->Scratch.reset();
   }
-#ifndef NDEBUG
-  for (const auto &KV : Classes) {
-    auto CurIt = Cursors.find(KV.first);
-    size_t J = CurIt == Cursors.end() ? 0 : CurIt->second.J;
-    assert(J == KV.second.Journal.size() &&
-           "splice must consume every class journal entry");
-  }
-#endif
 
   // --- Session (cold-equivalent) stats --------------------------------------
   Session.NumModules = static_cast<unsigned>(Modules.size());
@@ -639,50 +597,10 @@ void MergeService::runEpoch(const std::set<Type *> &Dirty,
   Session.RetargetedCalls = LastResolution.RetargetedCalls;
   unsigned LiveClasses = 0;
   for (const CandidateIndex::PartitionSummary &C :
-       Planner.partitionSummaries()) {
+       Planner.partitionSummaries())
     if (C.Live)
       ++LiveClasses;
-    auto CIt = Classes.find(C.RetTy);
-    if (CIt == Classes.end())
-      continue;
-    const MergeDriverStats &S = CIt->second.Stats;
-    Session.Driver.Attempts += S.Attempts;
-    Session.Driver.ProfitableMerges += S.ProfitableMerges;
-    Session.Driver.CommittedMerges += S.CommittedMerges;
-    Session.Driver.CrossModuleMerges += S.CrossModuleMerges;
-    Session.Driver.AlignmentSeconds += S.AlignmentSeconds;
-    Session.Driver.CodeGenSeconds += S.CodeGenSeconds;
-    Session.Driver.RankingSeconds += S.RankingSeconds;
-    Session.Driver.SpeculativeAttempts += S.SpeculativeAttempts;
-    Session.Driver.SpeculativeDiscarded += S.SpeculativeDiscarded;
-    Session.Driver.InlineReattempts += S.InlineReattempts;
-    Session.Driver.CommitConflicts += S.CommitConflicts;
-    Session.Driver.SpeculationsSkipped += S.SpeculationsSkipped;
-    Session.Driver.AttemptFailures += S.AttemptFailures;
-    Session.Driver.BudgetRejects += S.BudgetRejects;
-    Session.Driver.VerifierRejects += S.VerifierRejects;
-    Session.Driver.QuarantinedFunctions += S.QuarantinedFunctions;
-    Session.Driver.SpeculativeFailures += S.SpeculativeFailures;
-    Session.Driver.TaskFailures += S.TaskFailures;
-    Session.Driver.PairingDistanceCalls += S.PairingDistanceCalls;
-    Session.Driver.PairingProbes += S.PairingProbes;
-    // Cache counters are serial-commit-stage counts, summed like the
-    // cold sharded session does. A retained clean class keeps the
-    // counts of the (possibly cache-backed) run its journal came from.
-    Session.Driver.CacheHits += S.CacheHits;
-    Session.Driver.CacheMisses += S.CacheMisses;
-    Session.Driver.CacheSkips += S.CacheSkips;
-    Session.Driver.PeakAlignmentBytes =
-        std::max(Session.Driver.PeakAlignmentBytes, S.PeakAlignmentBytes);
-    Session.Driver.AdaptiveThresholdMax =
-        std::max(Session.Driver.AdaptiveThresholdMax,
-                 S.AdaptiveThresholdMax);
-    Session.Driver.AdaptiveThresholdFinal =
-        std::max(Session.Driver.AdaptiveThresholdFinal,
-                 S.AdaptiveThresholdFinal);
-  }
   Out.TotalClasses = LiveClasses;
-  Session.Driver.NumThreadsUsed = std::max(1u, NumThreads);
   Session.Driver.ShardCount = std::max(1u, LiveClasses);
   // Session-level warm-path counters: set by assignment, exactly like
   // the cold sessions set them once per run (never summed from class

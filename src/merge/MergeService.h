@@ -61,12 +61,13 @@
 /// same records (names, outcomes, order), same module bytes — at every
 /// selection mode x thread count x shard configuration
 /// (tests/merge_service_test.cpp pins this differentially against
-/// CrossModuleMerger). The mechanism is the sharded runner's proven
-/// splice: each class's pipeline journal is replayed against the global
-/// size-ordered plan with the host's unique-name counter reset to its
-/// pre-merge base, so name burns, record order and FunctionOrder all
-/// reconstruct the cold run exactly — a clean class replays its retained
-/// journal, a dirty class re-runs first.
+/// CrossModuleMerger). The mechanism is the session's own splice
+/// (spliceSlices, MergePipeline.h): each class's pipeline journal is
+/// replayed against the global size-ordered plan with the host's
+/// unique-name counter reset to its pre-merge base, so name burns,
+/// record order and FunctionOrder all reconstruct the cold run exactly —
+/// a clean class replays its retained journal, a dirty class re-runs
+/// first.
 ///
 /// ## Fault containment
 ///

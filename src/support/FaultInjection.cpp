@@ -12,7 +12,7 @@ using namespace salssa;
 namespace {
 
 /// splitmix64 finalizer: the same mixer classSeed uses in
-/// ShardedSessionRunner — full-avalanche, so nearby seeds/keys decide
+/// CrossModuleMerger — full-avalanche, so nearby seeds/keys decide
 /// independently.
 uint64_t mix64(uint64_t X) {
   X += 0x9e3779b97f4a7c15ULL;
@@ -30,8 +30,8 @@ uint64_t mix64(uint64_t X) {
 /// value depends on name-allocation history — a shard's scratch module
 /// burns different counters than the final host even when the merge sets
 /// are identical (the splice renames to the canonical sequence only
-/// afterwards). Fault decisions must survive that renaming or a sharded
-/// faulted session diverges from the unsharded one, so keys are hashed
+/// afterwards). Fault decisions must survive that renaming or a faulted
+/// session diverges across shard counts, so keys are hashed
 /// with the counters dropped: "f.m.22.m.7" hashes as "f.m.m". Lineage
 /// names stay unique among concurrently-live functions (a function is
 /// retired when its merge commits, so at most one ".m" descendant per

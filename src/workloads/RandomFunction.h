@@ -51,7 +51,7 @@ struct RandomFunctionOptions {
   /// the fixed palette [i32, i64, i1, f64, void]. Return types are the
   /// merge-compatibility boundary (cross-type pairs never merge), so
   /// variety > 1 is what gives sharded sessions real partitions to split
-  /// (ShardedSessionRunner.h). The default 1 keeps the legacy i32-only
+  /// (CrossModuleMerger.h). The default 1 keeps the legacy i32-only
   /// shape AND the legacy RNG stream — no draw is consumed — so every
   /// pre-variety workload rebuilds byte-identically.
   unsigned RetTypeVariety = 1;

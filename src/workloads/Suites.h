@@ -89,7 +89,7 @@ ModuleGroup buildBenchmarkModuleGroup(const BenchmarkProfile &Profile,
 /// determinism, same shared-header environments), all owned by one
 /// ModuleGroup in profile order — the whole-program shape where several
 /// unrelated programs (or libraries) link into one session
-/// (CrossModuleMerger / ShardedSessionRunner over the full group).
+/// (one CrossModuleMerger session over the full group).
 /// Profiles must have distinct names: symbol suffixes, and hence
 /// cross-module symbol resolution, are per-profile.
 ModuleGroup

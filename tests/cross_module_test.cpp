@@ -4,9 +4,8 @@
 //
 // The CrossModuleMerger contract has three legs:
 //
-//  1. N=1 equivalence: a session with one registered module reproduces
-//     runFunctionMerging bit for bit (same merges, records, names,
-//     module bytes) — also reachable via MergeDriverOptions::CrossModule.
+//  1. N=1 equivalence: runFunctionMerging is exactly a session with one
+//     registered module (same merges, records, names, module bytes).
 //  2. Determinism: for any module split and any thread count the session
 //     commits identical merges with identical records and byte-identical
 //     module prints (the MergePipeline contract, extended to groups).
@@ -108,8 +107,8 @@ void expectSameOutcome(const GroupOutcome &Got, const GroupOutcome &Want,
 }
 
 TEST(CrossModuleTest, SingleModuleSessionMatchesDriverBitForBit) {
-  // Leg 1 of the contract, via the MergeDriverOptions::CrossModule A/B:
-  // the N=1 session must replay the direct driver exactly.
+  // Leg 1 of the contract: the driver entry point and an explicit
+  // one-module session must produce the same bytes.
   BenchmarkProfile P = crossProfile(17);
   for (MergeTechnique Tech :
        {MergeTechnique::SalSSA, MergeTechnique::FMSA}) {
@@ -118,8 +117,14 @@ TEST(CrossModuleTest, SingleModuleSessionMatchesDriverBitForBit) {
       std::unique_ptr<Module> M = buildBenchmarkModule(P, Ctx);
       MergeDriverOptions DO = defaultOptions(1);
       DO.Technique = Tech;
-      DO.CrossModule = ViaSession;
-      MergeDriverStats S = runFunctionMerging(*M, DO);
+      MergeDriverStats S;
+      if (ViaSession) {
+        CrossModuleMerger Session(DO);
+        Session.addModule(*M);
+        S = Session.run().Driver;
+      } else {
+        S = runFunctionMerging(*M, DO);
+      }
       EXPECT_TRUE(verifyModule(*M).ok());
       std::string Serialized;
       for (const MergeRecord &R : S.Records)
@@ -159,18 +164,6 @@ TEST_P(CrossModuleDeterminismTest, ThreadCountsProduceIdenticalMerges) {
 
 INSTANTIATE_TEST_SUITE_P(Splits, CrossModuleDeterminismTest,
                          ::testing::Values(1u, 2u, 4u, 8u));
-
-TEST(CrossModuleTest, RankingStrategiesAgreeAcrossModules) {
-  // The CandidateIndex ranks a mixed-module pool; it must still select
-  // exactly the brute-force candidates.
-  BenchmarkProfile P = crossProfile(31, 32);
-  MergeDriverOptions DO = defaultOptions(1);
-  DO.Ranking = RankingStrategy::CandidateIndex;
-  GroupOutcome Index = runSession(P, 4, DO);
-  DO.Ranking = RankingStrategy::BruteForce;
-  GroupOutcome Brute = runSession(P, 4, DO);
-  expectSameOutcome(Index, Brute, "index-vs-brute 4 modules");
-}
 
 TEST(CrossModuleTest, MergedFunctionsLiveOnlyInTheHost) {
   // Leg 3: thunks everywhere, merged bodies only in the designated host

@@ -11,8 +11,8 @@
 //     must never cost commits or size (the greedy order stays inside
 //     each suite's compatibility classes unless a cross-suite pair
 //     genuinely wins).
-//  2. Determinism: byte-identical outcomes at 1 and 4 threads, sharded
-//     and unsharded (this file runs under the tsan preset, racing the
+//  2. Determinism: byte-identical outcomes at 1 and 4 threads, at 1 and
+//     4 shards (this file runs under the tsan preset, racing the
 //     attempt stage and the shard pool under TSan).
 //
 //===----------------------------------------------------------------------===//
@@ -20,7 +20,7 @@
 #include "codesize/SizeModel.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
-#include "merge/ShardedSessionRunner.h"
+#include "merge/CrossModuleMerger.h"
 #include "workloads/Suites.h"
 #include <gtest/gtest.h>
 

@@ -109,15 +109,6 @@ TEST_P(PipelineDeterminismTest, ThreadCountsProduceIdenticalMerges) {
   }
 }
 
-TEST_P(PipelineDeterminismTest, BruteForceRankingMatchesAcrossThreads) {
-  BenchmarkProfile P = pipelineProfile(GetParam() + 7, 24);
-  MergeDriverOptions DO;
-  DO.ExplorationThreshold = 2;
-  DO.Ranking = RankingStrategy::BruteForce;
-  RunOutcome Serial = runDriver(P, DO, 1);
-  expectSameOutcome(runDriver(P, DO, 4), Serial, "brute-force threads=4");
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineDeterminismTest,
                          ::testing::Values(5ull, 23ull, 77ull));
 

@@ -4,19 +4,20 @@
 //
 // The CandidateIndex contract is exactness: query(FP, k) must return the
 // same candidates, in the same order, as the brute-force all-pairs
-// ranking it replaces — LSH banding and the size-bounded walk are only
-// allowed to make it faster. These tests check that property on
-// randomized pools (including incremental retire/insert churn), the
-// early-exit distance kernel, and finally that both driver strategies
-// commit bit-identical merges on the seed workloads.
+// ranking it replaces (tests/RankingOracle.h) — LSH banding and the
+// size-bounded walk are only allowed to make it faster. These tests check
+// that property on randomized pools, under the pipeline's full query
+// shape (module payload, bounded extension, profit annotation,
+// cross-return-type exclusion) with the driver's retire/insert churn on
+// single-module, multi-module, FMSA-demoted and MiBench pools, plus the
+// early-exit distance kernel.
 //
 //===----------------------------------------------------------------------===//
 
-#include "codesize/SizeModel.h"
-#include "ir/Verifier.h"
-#include "merge/CandidateIndex.h"
+#include "RankingOracle.h"
 #include "merge/MergeDriver.h"
 #include "support/RNG.h"
+#include "transforms/Reg2Mem.h"
 #include "workloads/Suites.h"
 #include <algorithm>
 #include <gtest/gtest.h>
@@ -54,29 +55,6 @@ std::vector<Fingerprint> poolFingerprints(uint64_t Seed, unsigned NumFns,
   return FPs;
 }
 
-/// Reference ranking: scan every live id, sort by (distance, id), trim.
-std::vector<CandidateIndex::Hit>
-bruteForceTopK(const std::vector<Fingerprint> &FPs,
-               const std::vector<bool> &Live, uint32_t Query, unsigned K) {
-  std::vector<CandidateIndex::Hit> Hits;
-  for (uint32_t J = 0; J < FPs.size(); ++J) {
-    if (J == Query || !Live[J])
-      continue;
-    uint64_t D = fingerprintDistance(FPs[Query], FPs[J]);
-    if (D == UINT64_MAX)
-      continue;
-    Hits.push_back({D, J});
-  }
-  std::stable_sort(Hits.begin(), Hits.end(),
-                   [](const CandidateIndex::Hit &A,
-                      const CandidateIndex::Hit &B) {
-                     return A.Distance < B.Distance;
-                   });
-  if (Hits.size() > K)
-    Hits.resize(K);
-  return Hits;
-}
-
 void expectSameHits(const std::vector<CandidateIndex::Hit> &Got,
                     const std::vector<CandidateIndex::Hit> &Want,
                     const std::string &Tag) {
@@ -84,6 +62,9 @@ void expectSameHits(const std::vector<CandidateIndex::Hit> &Got,
   for (size_t I = 0; I < Got.size(); ++I) {
     EXPECT_EQ(Got[I].Id, Want[I].Id) << Tag << " position " << I;
     EXPECT_EQ(Got[I].Distance, Want[I].Distance) << Tag << " position " << I;
+    EXPECT_EQ(Got[I].ModuleId, Want[I].ModuleId) << Tag << " position " << I;
+    EXPECT_EQ(Got[I].EstProfit, Want[I].EstProfit)
+        << Tag << " position " << I;
   }
 }
 
@@ -96,15 +77,17 @@ TEST_P(RankingPropertyTest, TopKMatchesBruteForce) {
   ASSERT_GT(FPs.size(), 10u);
 
   CandidateIndex Index;
-  std::vector<bool> Live(FPs.size(), true);
-  for (uint32_t I = 0; I < FPs.size(); ++I)
+  OraclePool Oracle;
+  for (uint32_t I = 0; I < FPs.size(); ++I) {
     Index.insert(I, FPs[I]);
+    Oracle.insert(I, FPs[I]);
+  }
 
   for (unsigned K : {1u, 2u, 5u, 10u, 1000u})
     for (uint32_t Q = 0; Q < FPs.size(); ++Q) {
       std::vector<CandidateIndex::Hit> Got = Index.query(FPs[Q], K, Q);
       std::vector<CandidateIndex::Hit> Want =
-          bruteForceTopK(FPs, Live, Q, K);
+          bruteForceTopK(Oracle, FPs[Q], K, Q);
       expectSameHits(Got, Want,
                      "k=" + std::to_string(K) + " q=" + std::to_string(Q));
     }
@@ -116,9 +99,12 @@ TEST_P(RankingPropertyTest, RetireAndReinsertStayExact) {
   std::vector<Fingerprint> FPs = poolFingerprints(GetParam() + 101, 32, Ctx, M);
 
   CandidateIndex Index;
+  OraclePool Oracle;
   std::vector<bool> Live(FPs.size(), true);
-  for (uint32_t I = 0; I < FPs.size(); ++I)
+  for (uint32_t I = 0; I < FPs.size(); ++I) {
     Index.insert(I, FPs[I]);
+    Oracle.insert(I, FPs[I]);
+  }
 
   // Churn: retire random pairs (the driver's commit pattern), re-query
   // everything live, occasionally resurrect an id (remerge insertion).
@@ -133,6 +119,7 @@ TEST_P(RankingPropertyTest, RetireAndReinsertStayExact) {
           Id = static_cast<uint32_t>(Rng.nextBelow(FPs.size()));
         while (!Live[Id]);
         Index.retire(Id);
+        Oracle.retire(Id);
         Live[Id] = false;
       }
     } else {
@@ -140,6 +127,7 @@ TEST_P(RankingPropertyTest, RetireAndReinsertStayExact) {
       for (uint32_t Id = 0; Id < Live.size(); ++Id)
         if (!Live[Id]) {
           Index.insert(Id, FPs[Id]);
+          Oracle.insert(Id, FPs[Id]);
           Live[Id] = true;
           break;
         }
@@ -152,7 +140,7 @@ TEST_P(RankingPropertyTest, RetireAndReinsertStayExact) {
       if (!Live[Q])
         continue;
       expectSameHits(Index.query(FPs[Q], K, Q),
-                     bruteForceTopK(FPs, Live, Q, K),
+                     bruteForceTopK(Oracle, FPs[Q], K, Q),
                      "round " + std::to_string(Round) + " q=" +
                          std::to_string(Q));
     }
@@ -207,59 +195,142 @@ TEST(RankingTest, SketchIsDeterministicAndSizeGapBoundsDistance) {
     }
 }
 
-/// Both ranking strategies must commit identical merges — same pairs,
-/// same order, same final module size — on the seed workloads.
-class StrategyEquivalenceTest
-    : public ::testing::TestWithParam<uint64_t> {};
+/// Fingerprints of every mergeable function of \p Mods, tagged with their
+/// module index and ordered like the driver's pool (stable by descending
+/// size, ties by module then creation order).
+std::vector<std::pair<Fingerprint, uint32_t>>
+driverPool(const std::vector<Module *> &Mods) {
+  std::vector<std::pair<Fingerprint, uint32_t>> Pool;
+  for (uint32_t Mi = 0; Mi < Mods.size(); ++Mi)
+    for (Function *F : Mods[Mi]->functions())
+      if (F->isMergeable())
+        Pool.emplace_back(Fingerprint::compute(*F), Mi);
+  std::stable_sort(Pool.begin(), Pool.end(), [](const auto &A, const auto &B) {
+    return A.first.Size > B.first.Size;
+  });
+  return Pool;
+}
 
-TEST_P(StrategyEquivalenceTest, StrategiesCommitIdenticalMerges) {
-  for (MergeTechnique Tech :
-       {MergeTechnique::SalSSA, MergeTechnique::FMSA}) {
-    Context C1, C2;
-    BenchmarkProfile P;
-    P.Name = "equiv";
-    P.NumFunctions = 28;
-    P.MinSize = 6;
-    P.AvgSize = 45;
-    P.MaxSize = 200;
-    P.CloneFamilyPercent = 45;
-    P.MaxFamily = 4;
-    P.FamilyDriftPercent = 10;
-    P.LoopPercent = 50;
-    P.Seed = GetParam();
-    std::unique_ptr<Module> MB = buildBenchmarkModule(P, C1);
-    std::unique_ptr<Module> MI = buildBenchmarkModule(P, C2);
+/// Replays the driver's index traffic over \p Pool — every commit
+/// retires an entry and its nearest candidate and inserts the merged
+/// function under a fresh id in the host module — and checks every live
+/// entry's query against the oracle after each step, at the pipeline's
+/// query shapes (Distance: top-t; Profit/Adaptive: top-t plus the
+/// bounded extension, annotated by a calibrated ProfitModel).
+void expectIndexMatchesOracleUnderChurn(
+    const std::vector<std::pair<Fingerprint, uint32_t>> &Pool,
+    const std::string &Tag) {
+  ASSERT_GT(Pool.size(), 2u) << Tag;
+  CandidateIndex Index;
+  OraclePool Oracle;
+  std::vector<Fingerprint> FPs;
+  for (const auto &E : Pool) {
+    auto Id = static_cast<uint32_t>(FPs.size());
+    Index.insert(Id, E.first, E.second);
+    Oracle.insert(Id, E.first, E.second);
+    FPs.push_back(E.first);
+  }
+  const ProfitModel Model = [] {
+    ProfitModel M = ProfitModel::forArch(TargetArch::X86Like);
+    M.observe(40, 12, 90); // move the EMA off its seed
+    return M;
+  }();
 
-    MergeDriverOptions DO;
-    DO.Technique = Tech;
-    DO.ExplorationThreshold = 3;
-    DO.Ranking = RankingStrategy::BruteForce;
-    MergeDriverStats SB = runFunctionMerging(*MB, DO);
-    DO.Ranking = RankingStrategy::CandidateIndex;
-    MergeDriverStats SI = runFunctionMerging(*MI, DO);
-
-    EXPECT_EQ(SB.CommittedMerges, SI.CommittedMerges);
-    EXPECT_EQ(SB.Attempts, SI.Attempts);
-    EXPECT_EQ(SB.ProfitableMerges, SI.ProfitableMerges);
-    ASSERT_EQ(SB.Records.size(), SI.Records.size());
-    for (size_t I = 0; I < SB.Records.size(); ++I) {
-      EXPECT_EQ(SB.Records[I].Name1, SI.Records[I].Name1) << "record " << I;
-      EXPECT_EQ(SB.Records[I].Name2, SI.Records[I].Name2) << "record " << I;
-      EXPECT_EQ(SB.Records[I].Committed, SI.Records[I].Committed)
-          << "record " << I;
+  auto checkAll = [&](const std::string &Step) {
+    for (uint32_t Q = 0; Q < FPs.size(); ++Q) {
+      if (!Oracle.Live[Q])
+        continue;
+      for (auto [K, ExtraK] : {std::pair<unsigned, unsigned>{1, 0},
+                               {3, 0},
+                               {2, 2},
+                               {4, 3}})
+        for (const ProfitModel *M :
+             {static_cast<const ProfitModel *>(nullptr), &Model})
+          expectSameHits(Index.query(FPs[Q], K, Q, M, ExtraK),
+                         bruteForceTopK(Oracle, FPs[Q], K, Q, M, ExtraK),
+                         Tag + " " + Step + " q=" + std::to_string(Q) +
+                             " k=" + std::to_string(K) + "+" +
+                             std::to_string(ExtraK) +
+                             (M ? " profit" : ""));
     }
-    EXPECT_EQ(estimateModuleSize(*MB, TargetArch::X86Like),
-              estimateModuleSize(*MI, TargetArch::X86Like))
-        << "technique " << (Tech == MergeTechnique::SalSSA ? "salssa"
-                                                           : "fmsa");
-    EXPECT_TRUE(verifyModule(*MB).ok());
-    EXPECT_TRUE(verifyModule(*MI).ok());
+  };
+  checkAll("initial");
+  RNG Rng(Pool.size() * 7919 + 3);
+  for (unsigned Round = 0; Round < 8 && Index.liveCount() > 2; ++Round) {
+    uint32_t Q;
+    do
+      Q = static_cast<uint32_t>(Rng.nextBelow(FPs.size()));
+    while (!Oracle.Live[Q]);
+    std::vector<CandidateIndex::Hit> Top = Index.query(FPs[Q], 1, Q);
+    Index.retire(Q);
+    Oracle.retire(Q);
+    if (!Top.empty()) {
+      Index.retire(Top[0].Id);
+      Oracle.retire(Top[0].Id);
+      auto Id = static_cast<uint32_t>(FPs.size());
+      Index.insert(Id, FPs[Q], 0);
+      Oracle.insert(Id, FPs[Q], 0);
+      FPs.push_back(FPs[Q]);
+    }
+    checkAll("round " + std::to_string(Round));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, StrategyEquivalenceTest,
-                         ::testing::Values(11ull, 22ull, 33ull, 44ull,
-                                           55ull));
+BenchmarkProfile oracleProfile(uint64_t Seed, unsigned Variety) {
+  BenchmarkProfile P;
+  P.Name = "oracle";
+  P.NumFunctions = 40;
+  P.MinSize = 6;
+  P.AvgSize = 45;
+  P.MaxSize = 200;
+  P.CloneFamilyPercent = 45;
+  P.MaxFamily = 4;
+  P.FamilyDriftPercent = 10;
+  P.LoopPercent = 50;
+  P.RetTypeVariety = Variety;
+  P.Seed = Seed;
+  return P;
+}
+
+TEST(RankingOracleTest, SingleModulePool) {
+  Context Ctx;
+  std::unique_ptr<Module> M = buildBenchmarkModule(oracleProfile(11, 3), Ctx);
+  expectIndexMatchesOracleUnderChurn(driverPool({M.get()}), "single");
+}
+
+TEST(RankingOracleTest, FourModulePool) {
+  Context Ctx;
+  ModuleGroup Group = buildBenchmarkModuleGroup(oracleProfile(22, 2), Ctx, 4);
+  std::vector<Module *> Mods;
+  for (size_t I = 0; I < Group.size(); ++I)
+    Mods.push_back(&Group[I]);
+  expectIndexMatchesOracleUnderChurn(driverPool(Mods), "four-module");
+}
+
+TEST(RankingOracleTest, FMSADemotedPool) {
+  Context Ctx;
+  std::unique_ptr<Module> M = buildBenchmarkModule(oracleProfile(33, 1), Ctx);
+  for (Function *F : M->functions())
+    if (!F->isDeclaration())
+      demoteRegistersToMemory(*F, Ctx);
+  expectIndexMatchesOracleUnderChurn(driverPool({M.get()}), "fmsa");
+}
+
+TEST(RankingOracleTest, MiBenchSuitePools) {
+  unsigned Checked = 0;
+  for (const BenchmarkProfile &P : mibenchProfiles()) {
+    if (P.NumFunctions > 64) // keep the matrix CI-sized
+      continue;
+    Context Ctx;
+    std::unique_ptr<Module> M = buildBenchmarkModule(P, Ctx);
+    std::vector<std::pair<Fingerprint, uint32_t>> Pool = driverPool({M.get()});
+    if (Pool.size() < 3)
+      continue; // nothing to rank against after one commit
+    expectIndexMatchesOracleUnderChurn(Pool, P.Name);
+    ++Checked;
+  }
+  EXPECT_GE(Checked, 8u) << "suite filter got too aggressive";
+}
 
 TEST(RankingTest, CommittedRecordMarksTheWinningAttempt) {
   // The committed record must be the exact attempt that won, even when

@@ -5,13 +5,13 @@
 // The selection layer's contract has four legs:
 //
 //  1. Regression anchor: SelectionStrategy::Distance (the default) is the
-//     paper's scheme verbatim and must stay byte-identical to the PR 3
-//     driver — pinned here by A/B-ing it against the untouched
-//     brute-force ranking path on benchmark-suite profiles, and against
-//     the cross-module session route.
+//     paper's scheme verbatim — the driver entry point equals an
+//     explicit one-module session at every thread count. (The ranking
+//     underneath is pinned query by query against the brute-force
+//     oracle in ranking_test.cpp, bounded extension and profit
+//     annotation included.)
 //  2. Determinism: Profit and Adaptive commit identical merges with
-//     identical records and module bytes at every thread count, and are
-//     ranking-strategy-agnostic (CandidateIndex == BruteForce).
+//     identical records and module bytes at every thread count.
 //  3. The ProfitModel: the estimate is monotone (decreasing in distance,
 //     increasing in overlap at fixed total size), tracks actual
 //     MergeAttempt::profit() ordering on representative pairs, and its
@@ -28,8 +28,8 @@
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "merge/CrossModuleMerger.h"
 #include "merge/FunctionMerger.h"
-#include "merge/MergeDriver.h"
 #include "workloads/Suites.h"
 #include <gtest/gtest.h>
 
@@ -67,10 +67,20 @@ struct RunOutcome {
   MergeDriverStats Stats;
 };
 
-RunOutcome runDriver(const BenchmarkProfile &P, MergeDriverOptions DO) {
+/// Runs \p DO over a fresh build of \p P through runFunctionMerging, or
+/// through an explicit one-module CrossModuleMerger session.
+RunOutcome runDriver(const BenchmarkProfile &P, MergeDriverOptions DO,
+                     bool ViaSession = false) {
   Context Ctx;
   std::unique_ptr<Module> M = buildBenchmarkModule(P, Ctx);
-  MergeDriverStats S = runFunctionMerging(*M, DO);
+  MergeDriverStats S;
+  if (ViaSession) {
+    CrossModuleMerger Session(DO);
+    Session.addModule(*M);
+    S = Session.run().Driver;
+  } else {
+    S = runFunctionMerging(*M, DO);
+  }
   RunOutcome O;
   O.Attempts = S.Attempts;
   O.CommittedMerges = S.CommittedMerges;
@@ -96,7 +106,7 @@ void expectSameOutcome(const RunOutcome &Got, const RunOutcome &Want,
 }
 
 //===----------------------------------------------------------------------===//
-// Leg 1 — the Distance path is the PR 3 driver, bit for bit
+// Leg 1 — the Distance path, one route at every thread count
 //===----------------------------------------------------------------------===//
 
 TEST(SelectionTest, DistanceIsTheDefault) {
@@ -106,47 +116,17 @@ TEST(SelectionTest, DistanceIsTheDefault) {
   EXPECT_EQ(DO.Selection, SelectionStrategy::Distance);
 }
 
-TEST(SelectionTest, DistanceStaysByteIdenticalOnBenchmarkSuites) {
-  // The regression A/B: Selection=Distance over the CandidateIndex must
-  // reproduce the brute-force ranking path — which this PR did not
-  // touch beyond pass-through parameters — byte for byte on benchmark
-  // suites, exactly the PR 1-3 contract. Any accidental change to the
-  // Distance path (widening, annotation, re-ranking leaking in) breaks
-  // the print comparison immediately.
-  std::vector<BenchmarkProfile> Suites = mibenchProfiles();
-  unsigned Checked = 0;
-  for (const BenchmarkProfile &P : Suites) {
-    if (P.NumFunctions > 32) // keep the matrix CI-sized
-      continue;
-    MergeDriverOptions DO;
-    DO.Technique = MergeTechnique::SalSSA;
-    DO.ExplorationThreshold = 2;
-    DO.Selection = SelectionStrategy::Distance;
-    DO.Ranking = RankingStrategy::CandidateIndex;
-    RunOutcome Index = runDriver(P, DO);
-    DO.Ranking = RankingStrategy::BruteForce;
-    RunOutcome Brute = runDriver(P, DO);
-    expectSameOutcome(Index, Brute, "suite " + P.Name);
-    ++Checked;
-  }
-  EXPECT_GE(Checked, 8u) << "suite filter got too aggressive";
-}
-
 TEST(SelectionTest, DistanceMatchesCrossModuleRouteAndThreads) {
-  // The other two PR 3 anchors, under the new default: the one-module
-  // session route and the thread matrix must still replay the serial
-  // direct driver exactly.
+  // Under the default: an explicit one-module session and the thread
+  // matrix must replay the serial driver entry point exactly.
   BenchmarkProfile P = cloneHeavyProfile(29);
   MergeDriverOptions DO;
   DO.ExplorationThreshold = 3;
   RunOutcome Serial = runDriver(P, DO);
   ASSERT_TRUE(Serial.VerifierOk);
   EXPECT_GT(Serial.CommittedMerges, 0u);
-  {
-    MergeDriverOptions Route = DO;
-    Route.CrossModule = true;
-    expectSameOutcome(runDriver(P, Route), Serial, "session route");
-  }
+  expectSameOutcome(runDriver(P, DO, /*ViaSession=*/true), Serial,
+                    "session route");
   for (unsigned NT : {2u, 8u}) {
     MergeDriverOptions TDO = DO;
     TDO.NumThreads = NT;
@@ -180,21 +160,6 @@ TEST_P(SelectionDeterminismTest, ThreadCountsProduceIdenticalMerges) {
     expectSameOutcome(runDriver(P, TDO), Serial,
                       "threads=" + std::to_string(NT));
   }
-}
-
-TEST_P(SelectionDeterminismTest, RankingStrategiesAgree) {
-  // The bounded extension and profit annotation must be bit-compatible
-  // between CandidateIndex and the brute-force reference, like the
-  // plain top-t query always was.
-  BenchmarkProfile P = cloneHeavyProfile(67, 28);
-  MergeDriverOptions DO;
-  DO.ExplorationThreshold = 2;
-  DO.Selection = GetParam();
-  DO.Ranking = RankingStrategy::CandidateIndex;
-  RunOutcome Index = runDriver(P, DO);
-  DO.Ranking = RankingStrategy::BruteForce;
-  RunOutcome Brute = runDriver(P, DO);
-  expectSameOutcome(Index, Brute, "index-vs-brute");
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, SelectionDeterminismTest,

@@ -1,18 +1,19 @@
-//===- tests/sharded_session_test.cpp - ShardedSessionRunner contract ----------===//
+//===- tests/sharded_session_test.cpp - Sharded session contract ---------------===//
 //
 // Part of the SalSSA reproduction project, MIT license.
 //
-// The tentpole contract of the sharded whole-program session
-// (merge/ShardedSessionRunner.h):
+// The contract of the sharded whole-program session
+// (merge/CrossModuleMerger.h):
 //
-//  1. Bit-identity: under the default Distance selection, a sharded run
-//     commits a bit-identical merge set to the unsharded
-//     CrossModuleMerger session — same merges, same records, same names,
-//     byte-identical module prints — at every shard count x thread
-//     count. Pinned here for shard counts {1, 2, 4, 8} x thread counts
-//     {1, 4} on a heterogeneous (two-suite, multi-return-type) group,
-//     plus FMSA and the auto shard count, plus the
-//     MergeDriverOptions::ShardCount routing through runFunctionMerging.
+//  1. Bit-identity: under the default Distance selection, every shard
+//     plan commits a bit-identical merge set to the one-shard session
+//     (ShardCount = 1, every class in one pipeline) — same merges, same
+//     records, same names, byte-identical module prints — at every shard
+//     count x thread count. Pinned here for shard counts {2, 4, 8} x
+//     thread counts {1, 4} on a heterogeneous (two-suite,
+//     multi-return-type) group, plus FMSA and the auto shard count, plus
+//     the MergeDriverOptions::ShardCount routing through
+//     runFunctionMerging.
 //  2. Shard counts clamp to the pool's merge-compatibility classes, and
 //     the imbalance of the balancer's packing is reported.
 //  3. Host policy: MergeDriverOptions::Host resolves Biggest/Hottest
@@ -21,7 +22,7 @@
 //  4. The profit-guided modes are shard-count-invariant too: their
 //     ProfitModel/adaptive-threshold state is kept per
 //     merge-compatibility class (MergePipeline.h), so every shard plan
-//     reproduces the unsharded session bit for bit — the property that
+//     reproduces the one-shard session bit for bit — the property that
 //     lets one decision-cache file warm sessions at any shard count.
 //
 //===----------------------------------------------------------------------===//
@@ -30,7 +31,7 @@
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
-#include "merge/ShardedSessionRunner.h"
+#include "merge/CrossModuleMerger.h"
 #include "workloads/Suites.h"
 #include <gtest/gtest.h>
 
@@ -102,11 +103,10 @@ GroupOutcome outcomeOf(const ModuleGroup &Group, const CrossModuleStats &S) {
   return O;
 }
 
-/// Unsharded baseline: the plain CrossModuleMerger session.
-GroupOutcome runUnsharded(MergeDriverOptions DO) {
+/// A session over a fresh build of the two-suite group.
+GroupOutcome runSharded(MergeDriverOptions DO) {
   Context Ctx;
   ModuleGroup Group = buildSuiteModuleGroup(twoSuites(), Ctx, 2);
-  DO.ShardCount = 1;
   CrossModuleMerger Session(DO);
   for (size_t I = 0; I < Group.size(); ++I)
     Session.addModule(Group[I]);
@@ -114,15 +114,10 @@ GroupOutcome runUnsharded(MergeDriverOptions DO) {
   return outcomeOf(Group, S);
 }
 
-/// Sharded run over a byte-identical rebuild, via the runner directly.
-GroupOutcome runSharded(MergeDriverOptions DO) {
-  Context Ctx;
-  ModuleGroup Group = buildSuiteModuleGroup(twoSuites(), Ctx, 2);
-  ShardedSessionRunner Runner(DO);
-  for (size_t I = 0; I < Group.size(); ++I)
-    Runner.addModule(Group[I]);
-  CrossModuleStats S = Runner.run();
-  return outcomeOf(Group, S);
+/// The baseline every shard plan must reproduce: one shard.
+GroupOutcome runOneShard(MergeDriverOptions DO) {
+  DO.ShardCount = 1;
+  return runSharded(DO);
 }
 
 void expectSameMergeSet(const GroupOutcome &Got, const GroupOutcome &Want,
@@ -138,11 +133,12 @@ void expectSameMergeSet(const GroupOutcome &Got, const GroupOutcome &Want,
   EXPECT_EQ(Got.Prints, Want.Prints) << Tag;
 }
 
-TEST(ShardedSessionTest, BitIdenticalToUnshardedAtEveryShardAndThreadCount) {
-  GroupOutcome Baseline = runUnsharded(defaultOptions(1, 1));
+TEST(ShardedSessionTest, BitIdenticalToOneShardAtEveryShardAndThreadCount) {
+  GroupOutcome Baseline = runOneShard(defaultOptions(1, 1));
   ASSERT_TRUE(Baseline.VerifierOk);
   ASSERT_GT(Baseline.CommittedMerges, 0u);
   ASSERT_GT(Baseline.CrossModuleMerges, 0u);
+  EXPECT_EQ(Baseline.ShardCount, 1u);
   for (unsigned Shards : {1u, 2u, 4u, 8u})
     for (unsigned NT : {1u, 4u}) {
       GroupOutcome Sharded = runSharded(defaultOptions(NT, Shards));
@@ -150,12 +146,12 @@ TEST(ShardedSessionTest, BitIdenticalToUnshardedAtEveryShardAndThreadCount) {
                          "shards=" + std::to_string(Shards) +
                              " threads=" + std::to_string(NT));
       EXPECT_GE(Sharded.ShardCount, 1u);
-      EXPECT_LE(Sharded.ShardCount, Shards == 0 ? 8u : Shards);
+      EXPECT_LE(Sharded.ShardCount, Shards);
     }
 }
 
 TEST(ShardedSessionTest, AutoShardCountMatchesToo) {
-  GroupOutcome Baseline = runUnsharded(defaultOptions(1, 1));
+  GroupOutcome Baseline = runOneShard(defaultOptions(1, 1));
   MergeDriverOptions DO = defaultOptions(4, 0); // 0 = auto (threads)
   GroupOutcome Auto = runSharded(DO);
   expectSameMergeSet(Auto, Baseline, "auto shard count");
@@ -167,26 +163,16 @@ TEST(ShardedSessionTest, AutoShardCountMatchesToo) {
 TEST(ShardedSessionTest, FMSATechniqueIsBitIdenticalToo) {
   MergeDriverOptions DO = defaultOptions(1, 1);
   DO.Technique = MergeTechnique::FMSA;
-  GroupOutcome Baseline = runUnsharded(DO);
+  GroupOutcome Baseline = runOneShard(DO);
   ASSERT_GT(Baseline.CommittedMerges, 0u);
   MergeDriverOptions Sharded = defaultOptions(2, 4);
   Sharded.Technique = MergeTechnique::FMSA;
   expectSameMergeSet(runSharded(Sharded), Baseline, "fmsa shards=4");
 }
 
-TEST(ShardedSessionTest, RankingStrategiesAgreeWhenSharded) {
-  MergeDriverOptions DO = defaultOptions(2, 4);
-  DO.Ranking = RankingStrategy::CandidateIndex;
-  GroupOutcome Index = runSharded(DO);
-  DO.Ranking = RankingStrategy::BruteForce;
-  GroupOutcome Brute = runSharded(DO);
-  expectSameMergeSet(Index, Brute, "index-vs-brute sharded");
-}
-
 TEST(ShardedSessionTest, ShardCountRoutesThroughRunFunctionMerging) {
-  // MergeDriverOptions::ShardCount != 1 must route the single-module
-  // driver through the session layer and still reproduce the direct
-  // path bit for bit.
+  // MergeDriverOptions::ShardCount reaches the single-module driver
+  // entry point too, and 4 shards reproduce 1 shard bit for bit.
   BenchmarkProfile P = varietyProfile("solo", 77, 40, 4);
   auto runOne = [&](unsigned Shards) {
     Context Ctx;
@@ -207,15 +193,15 @@ TEST(ShardedSessionTest, ShardCountRoutesThroughRunFunctionMerging) {
 TEST(ShardedSessionTest, ShardCountClampsToCompatibilityClasses) {
   // A variety-1 pool has a single class (every function returns i32):
   // any requested shard count collapses to 1, and the run still matches
-  // the unsharded session exactly.
+  // the one-shard session exactly.
   BenchmarkProfile P = varietyProfile("mono", 55, 32, 1);
   auto session = [&](unsigned Shards) {
     Context Ctx;
     ModuleGroup Group = buildBenchmarkModuleGroup(P, Ctx, 2);
-    ShardedSessionRunner Runner(defaultOptions(2, Shards));
+    CrossModuleMerger Session(defaultOptions(2, Shards));
     for (size_t I = 0; I < Group.size(); ++I)
-      Runner.addModule(Group[I]);
-    CrossModuleStats S = Runner.run();
+      Session.addModule(Group[I]);
+    CrossModuleStats S = Session.run();
     return outcomeOf(Group, S);
   };
   GroupOutcome Eight = session(8);
@@ -233,14 +219,14 @@ TEST(ShardedSessionTest, ProfitModesAreShardCountInvariant) {
        {SelectionStrategy::Profit, SelectionStrategy::Adaptive}) {
     MergeDriverOptions Base = defaultOptions(1, 1);
     Base.Selection = Sel;
-    GroupOutcome Unsharded = runUnsharded(Base);
-    EXPECT_TRUE(Unsharded.VerifierOk);
-    EXPECT_GT(Unsharded.CommittedMerges, 0u);
+    GroupOutcome OneShard = runOneShard(Base);
+    EXPECT_TRUE(OneShard.VerifierOk);
+    EXPECT_GT(OneShard.CommittedMerges, 0u);
     for (unsigned Shards : {1u, 2u, 4u, 8u})
       for (unsigned NT : {1u, 4u}) {
         MergeDriverOptions DO = defaultOptions(NT, Shards);
         DO.Selection = Sel;
-        expectSameMergeSet(runSharded(DO), Unsharded,
+        expectSameMergeSet(runSharded(DO), OneShard,
                            "profit-mode sel=" + std::to_string(int(Sel)) +
                                " shards=" + std::to_string(Shards) +
                                " threads=" + std::to_string(NT));
@@ -274,7 +260,7 @@ TEST(ShardedSessionTest, HostPolicyBiggestPicksTheLargestModule) {
     CrossModuleStats S = Session.run();
     EXPECT_GT(S.Driver.CommittedMerges, 0u);
     EXPECT_EQ(Session.hostModule(), &Group[Expect])
-        << (Sharded ? "sharded" : "unsharded");
+        << (Sharded ? "4 shards" : "1 shard");
     // Merged functions (named "<fn>.m.N") live only in the host.
     for (size_t I = 0; I < Group.size(); ++I) {
       EXPECT_TRUE(verifyModule(Group[I]).ok());
@@ -341,13 +327,13 @@ TEST(ShardedSessionTest, ExplicitHostOverridesPolicy) {
   ModuleGroup Group = buildSuiteModuleGroup(twoSuites(), Ctx, 2);
   MergeDriverOptions DO = defaultOptions(2, 4);
   DO.Host = HostPolicy::Biggest;
-  ShardedSessionRunner Runner(DO);
+  CrossModuleMerger Session(DO);
   for (size_t I = 0; I < Group.size(); ++I)
-    Runner.addModule(Group[I]);
-  Runner.setHostModule(Group[3]);
-  CrossModuleStats S = Runner.run();
+    Session.addModule(Group[I]);
+  Session.setHostModule(Group[3]);
+  CrossModuleStats S = Session.run();
   EXPECT_GT(S.Driver.CommittedMerges, 0u);
-  EXPECT_EQ(Runner.hostModule(), &Group[3]);
+  EXPECT_EQ(Session.hostModule(), &Group[3]);
   for (size_t I = 0; I < Group.size(); ++I)
     for (Function *F : Group[I].functions())
       if (F->getName().find(".m") != std::string::npos) {
