@@ -16,7 +16,11 @@
 //           (recording) and warm (replaying) through one
 //           DecisionCachePath. The warm run must replay every entry —
 //           zero pairing work, zero alignment bytes — and emit a
-//           byte-identical merged module.
+//           byte-identical merged module. It replays once more at 4
+//           threads with ShardCount 1, where each class gets every
+//           thread: the attempt workers must build replayed winners
+//           (SpeculativeAttempts > 0) without discarding one, and the
+//           module must stay byte-identical.
 //
 // Modes:
 //   (default)  sweep: cold/warm wall-clock and work counters across
@@ -25,7 +29,8 @@
 //              is reported but never gated (the counters are the
 //              deterministic signal). Writes a JsonSummary
 //              (SALSSA_BENCH_JSON): cache_hits, hash_cluster_commits,
-//              cold_pairing_calls, warm_pairing_calls, reduction_pct.
+//              cold_pairing_calls, warm_pairing_calls,
+//              warm_speculative_attempts, reduction_pct.
 //
 //===----------------------------------------------------------------------===//
 
@@ -161,6 +166,10 @@ int smokeMode() {
   Cached.DecisionCachePath = CachePath;
   CacheRun Cold = runOnce(Drifted, Cached);
   CacheRun Warm = runOnce(Drifted, Cached);
+  MergeDriverOptions Threaded = Cached;
+  Threaded.NumThreads = 4;
+  Threaded.ShardCount = 1;
+  CacheRun Warm4 = runOnce(Drifted, Threaded);
   std::remove(CachePath.c_str());
   std::printf("cold: %u commits, %llu pairing calls, %zu peak align B, "
               "%.3fs\n",
@@ -175,7 +184,11 @@ int smokeMode() {
               (unsigned long long)Warm.Stats.CacheSkips,
               (unsigned long long)Warm.Stats.PairingDistanceCalls,
               Warm.Stats.PeakAlignmentBytes, Warm.Stats.TotalSeconds);
-  if (!Cold.VerifierOk || !Warm.VerifierOk) {
+  std::printf("warm, 4 threads, 1 shard: %u commits, %u winners built by "
+              "workers, %u discarded, %.3fs\n",
+              Warm4.Stats.CommittedMerges, Warm4.Stats.SpeculativeAttempts,
+              Warm4.Stats.SpeculativeDiscarded, Warm4.Stats.TotalSeconds);
+  if (!Cold.VerifierOk || !Warm.VerifierOk || !Warm4.VerifierOk) {
     std::printf("FAIL: verifier errors after merging\n");
     return 1;
   }
@@ -203,6 +216,20 @@ int smokeMode() {
                 Warm.Stats.PeakAlignmentBytes);
     return 1;
   }
+  if (Warm4.Print != Cold.Print) {
+    std::printf("FAIL: 4-thread warm run is not byte-identical to its cold "
+                "run\n");
+    return 1;
+  }
+  if (Warm4.Stats.SpeculativeAttempts == 0 ||
+      Warm4.Stats.SpeculativeDiscarded != 0) {
+    std::printf("FAIL: 4-thread warm run must build replayed winners on the "
+                "attempt workers and keep them all (%u built, %u "
+                "discarded)\n",
+                Warm4.Stats.SpeculativeAttempts,
+                Warm4.Stats.SpeculativeDiscarded);
+    return 1;
+  }
 
   JsonSummary Json("bench_warm_cache");
   Json.add("pool_functions", uint64_t(PoolFns));
@@ -213,12 +240,14 @@ int smokeMode() {
   Json.add("cache_skips", Warm.Stats.CacheSkips);
   Json.add("cold_pairing_calls", Cold.Stats.PairingDistanceCalls);
   Json.add("warm_pairing_calls", Warm.Stats.PairingDistanceCalls);
+  Json.add("warm_speculative_attempts", Warm4.Stats.SpeculativeAttempts);
   Json.add("reduction_pct", Cold.reductionPercent());
   Json.add("cold_seconds", Cold.Stats.TotalSeconds);
   Json.add("warm_seconds", Warm.Stats.TotalSeconds);
 
   std::printf("PASS: >=2x pairing cut from clustering, warm replay "
-              "byte-identical with zero alignment work\n");
+              "byte-identical with zero alignment work, replayed winners "
+              "built on the attempt workers\n");
   return 0;
 }
 

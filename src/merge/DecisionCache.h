@@ -38,9 +38,16 @@
 /// unique-name sequence and emits byte-identical merged modules to its
 /// cold run; for changed input the replayed subset is the *recorded*
 /// decision (optimistic content-addressed caching) — delete the cache
-/// file to force full re-ranking. Writes happen only at the serial
-/// commit stage; the session's class runner collects per-class updates
-/// and applies them serially once every class pipeline finished.
+/// file to force full re-ranking. Which entries replay is decided at
+/// the serial commit stage in pool order, so it is the same at every
+/// thread and shard count on changed input too; a parallel pipeline only
+/// moves *where* a replayed winner is built — an attempt worker builds
+/// it from the recorded alignment when its partner is live at snapshot
+/// time — and the commit stage reuses that attempt only while both
+/// inputs are unconsumed, after the same verifier firewall. The cache
+/// itself is read-only while pipelines run: writes happen only at the
+/// serial commit stage, as pending updates the session's class runner
+/// applies serially once every class pipeline finished.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -205,7 +205,9 @@ struct MergeDriverStats {
 
   // Pipeline instrumentation: only ever non-zero when the optimistic
   // parallel path ran.
-  unsigned SpeculativeAttempts = 0; ///< attempts executed by workers
+  /// Attempts executed by workers: live snapshot attempts, and on a warm
+  /// run the replayed winners workers built from recorded alignments.
+  unsigned SpeculativeAttempts = 0;
   unsigned SpeculativeDiscarded = 0; ///< speculative attempts thrown away
   unsigned InlineReattempts = 0; ///< commit-stage re-runs after conflicts
   /// Entries that speculated and whose snapshot ranking staled by commit

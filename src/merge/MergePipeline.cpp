@@ -27,6 +27,15 @@ MergeAttempt takeAttempt(MergeAttempt &Slot) {
   return A;
 }
 
+/// The alignment a cached winner offers back to attemptMerge.
+AlignmentReplay replayOf(const CachedAttempt &CA) {
+  AlignmentReplay AR;
+  AR.SeqLen1 = CA.SeqLen1;
+  AR.SeqLen2 = CA.SeqLen2;
+  AR.Entries = &CA.Align;
+  return AR;
+}
+
 } // namespace
 
 MergePipeline::MergePipeline(const std::vector<Module *> &Modules,
@@ -322,10 +331,17 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
   }
   // Warm fast path: replay the recorded decision when one exists and
   // still resolves against the live pool; otherwise fall through to the
-  // live rank/attempt path (and count the miss).
+  // live rank/attempt path (and count the miss). A worker-built winner of
+  // a missed replay is dropped first: the live path must never reuse an
+  // attempt built from a cached alignment, so it runs the entry like an
+  // inert task.
   if (Cache) {
     if (replayFromCache(I, Spec))
       return;
+    if (Spec && Spec->Replay) {
+      discardRemaining(*Spec);
+      Spec = nullptr;
+    }
     ++Stats.CacheMisses;
   }
   PipelineEntryTrace Trace;
@@ -366,36 +382,8 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
   for (size_t Slate = 0; Slate < Candidates.size(); ++Slate) {
     const CandidateIndex::Hit &R = Candidates[Slate];
     Function *F2 = Pool[R.Id].F;
-    MergeAttempt A;
     std::string StagedName;
-    int SpecSlot = -1;
-    if (Spec)
-      for (size_t S = 0; S < Spec->Hits.size(); ++S)
-        if (Spec->Hits[S].Id == R.Id && Spec->Attempts[S].Valid) {
-          SpecSlot = static_cast<int>(S);
-          break;
-        }
-    if (SpecSlot >= 0) {
-      A = takeAttempt(Spec->Attempts[static_cast<size_t>(SpecSlot)]);
-      // Replay the name id the serial generator would have consumed for
-      // this attempt; the winner is adopted under it below.
-      StagedName = Materialize.makeUniqueName(F1->getName() + ".m");
-    } else {
-      // Inline attempts generate directly into the class's scratch
-      // module, burning its name counter once per attempt. Guarded: a
-      // faulted pair faults here exactly as it would have on the
-      // speculative path (decisions are keyed by names), so the serial
-      // record stream is thread-count-invariant even under injected
-      // faults.
-      A = guardedAttempt(*F1, *F2, Pool[I].CostSize, Pool[R.Id].CostSize,
-                         &Materialize, /*Failures=*/nullptr);
-      // Driver-thread accumulator (workers own theirs; see
-      // MergeDriverStats).
-      Stats.AlignmentSeconds += A.Stats.AlignmentSeconds;
-      Stats.CodeGenSeconds += A.Stats.CodeGenSeconds;
-      if (Spec)
-        ++Stats.InlineReattempts;
-    }
+    MergeAttempt A = attemptAt(I, R.Id, Spec, StagedName);
     ++Stats.Attempts;
     Trace.Partners.push_back(F2);
     Stats.PeakAlignmentBytes =
@@ -525,17 +513,48 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
     return;
   }
 
-  // A reused speculative attempt lives in its worker's staging module;
-  // inline attempts already generated into Materialize.
-  if (!BestName.empty())
-    adoptMergedFunction(Best, Materialize, BestName);
-  commitWinner(I, BestIdx, Best, BestRecord, BestSlate, Trace);
+  commitWinner(I, BestIdx, Best, BestName, BestRecord, BestSlate, Trace);
+}
+
+MergeAttempt MergePipeline::attemptAt(size_t I, uint32_t PartnerIdx,
+                                      AttemptTask *Spec,
+                                      std::string &StagedName,
+                                      const AlignmentReplay *Replay) {
+  Function *F1 = Pool[I].F;
+  if (Spec)
+    for (size_t S = 0; S < Spec->Hits.size(); ++S)
+      if (Spec->Hits[S].Id == PartnerIdx && Spec->Attempts[S].Valid) {
+        // Replay the name id the serial generator would have consumed
+        // for this attempt; a winner is adopted under it (commitWinner).
+        StagedName = Materialize.makeUniqueName(F1->getName() + ".m");
+        return takeAttempt(Spec->Attempts[S]);
+      }
+  // Inline attempts generate directly into the class's scratch module,
+  // burning its name counter once per attempt. Guarded: a faulted pair
+  // faults here exactly as it would have on the speculative path
+  // (decisions are keyed by names), so the serial record stream is
+  // thread-count-invariant even under injected faults.
+  MergeAttempt A =
+      guardedAttempt(*F1, *Pool[PartnerIdx].F, Pool[I].CostSize,
+                     Pool[PartnerIdx].CostSize, &Materialize,
+                     /*Failures=*/nullptr, Replay);
+  // Driver-thread accumulator (workers own theirs; see MergeDriverStats).
+  Stats.AlignmentSeconds += A.Stats.AlignmentSeconds;
+  Stats.CodeGenSeconds += A.Stats.CodeGenSeconds;
+  if (Spec)
+    ++Stats.InlineReattempts;
+  return A;
 }
 
 void MergePipeline::commitWinner(size_t I, size_t PartnerIdx,
-                                 MergeAttempt &Best, size_t BestRecord,
-                                 size_t WinnerOffset,
+                                 MergeAttempt &Best,
+                                 const std::string &StagedName,
+                                 size_t BestRecord, size_t WinnerOffset,
                                  PipelineEntryTrace &Trace) {
+  // A reused speculative attempt lives in its worker's staging module;
+  // inline attempts already generated into Materialize.
+  if (!StagedName.empty())
+    adoptMergedFunction(Best, Materialize, StagedName);
   // Thunk both inputs (each in its own module), retire them from the
   // pool, and offer the merged function — which lives in the
   // materialization module — for further merging.
@@ -586,8 +605,6 @@ bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
   }
   if (D->Winner >= 0 && static_cast<size_t>(D->Winner) >= D->Attempts.size())
     return false; // defensive: load() range-checks, but stay safe
-  if (Spec)
-    discardRemaining(*Spec);
 
   PipelineEntryTrace Trace;
   Trace.EntryFn = Pool[I].F;
@@ -598,6 +615,7 @@ bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
   uint32_t BestIdx = 0;
   size_t BestRecord = 0;
   size_t BestOffset = 0;
+  std::string BestName; // non-empty iff Best is a worker-built attempt
   for (size_t A = 0; A < D->Attempts.size(); ++A) {
     const CachedAttempt &CA = D->Attempts[A];
     Function *F2 = Pool[Partner[A]].F;
@@ -630,16 +648,13 @@ bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
     // The winner: run the real pipeline with the recorded alignment —
     // the cache is a shortcut, not an authority, so the replay payload
     // is validated inside attemptMerge (silent fallback to the live
-    // aligner) and the commit firewall below stays on.
-    AlignmentReplay AR;
-    AR.SeqLen1 = CA.SeqLen1;
-    AR.SeqLen2 = CA.SeqLen2;
-    AR.Entries = &CA.Align;
-    MergeAttempt W = guardedAttempt(*F1, *F2, Pool[I].CostSize,
-                                    Pool[Partner[A]].CostSize, &Materialize,
-                                    /*Failures=*/nullptr, &AR);
-    Stats.AlignmentSeconds += W.Stats.AlignmentSeconds;
-    Stats.CodeGenSeconds += W.Stats.CodeGenSeconds;
+    // aligner) and the commit firewall below stays on. A worker may
+    // already have built it the same way (runParallel): every partner
+    // resolved to an unconsumed entry above, so its inputs are unchanged
+    // since the snapshot and the attempt is reused.
+    AlignmentReplay AR = replayOf(CA);
+    std::string StagedName;
+    MergeAttempt W = attemptAt(I, Partner[A], Spec, StagedName, &AR);
     ++Stats.Attempts;
     Stats.PeakAlignmentBytes =
         std::max(Stats.PeakAlignmentBytes, W.Stats.AlignmentBytes);
@@ -663,11 +678,14 @@ bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
         BestIdx = Partner[A];
         BestRecord = RecIdx;
         BestOffset = A;
+        BestName = StagedName;
       }
     } else if (W.Valid) {
       discardMerge(W);
     }
   }
+  if (Spec)
+    discardRemaining(*Spec);
 
   // Replay the recorded adaptive vote so the per-class threshold
   // trajectory matches the cold run for every entry that still ranks
@@ -681,9 +699,7 @@ bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
     Journal.push_back(std::move(Trace));
     return true;
   }
-  // Inline replay attempts generate directly into Materialize, so no
-  // adoption step is needed.
-  commitWinner(I, BestIdx, Best, BestRecord, BestOffset, Trace);
+  commitWinner(I, BestIdx, Best, BestName, BestRecord, BestOffset, Trace);
   return true;
 }
 
@@ -727,12 +743,14 @@ void MergePipeline::runParallel(unsigned NumThreads) {
     for (size_t I = Cursor; I < End; ++I) {
       if (Pool[I].Consumed)
         continue;
-      // Entries with a cached decision never rank or speculate: an
-      // empty, non-speculative task routes them through commitEntry
-      // (which replays them — or, if the recorded partners no longer
-      // resolve by commit time, re-runs them inline exactly like the
-      // serial path). The recorded winner marks its partner as
-      // replay-consumed.
+      // Entries with a cached decision never rank. When the recorded
+      // winner's partner is live right now, the task carries that one
+      // pair and the recorded attempt, and a worker builds the winner
+      // from its alignment; otherwise the task is inert. Either way
+      // commitEntry replays the entry — or, if the recorded partners no
+      // longer resolve by commit time, drops the worker's attempt and
+      // re-runs the entry inline exactly like the serial path. The
+      // recorded winner marks its partner as replay-consumed.
       if (Cache) {
         const CachedDecision *D =
             Cache->lookup({Pool[I].Hash, Pool[I].HashOcc});
@@ -741,10 +759,21 @@ void MergePipeline::runParallel(unsigned NumThreads) {
           T.PoolIdx = static_cast<uint32_t>(I);
           T.Speculate = false;
           if (D->Winner >= 0) {
-            auto It = KeyToPool.find(
-                D->Attempts[static_cast<size_t>(D->Winner)].Partner);
-            if (It != KeyToPool.end())
-              ReplayConsumes.insert(It->second);
+            const CachedAttempt &W =
+                D->Attempts[static_cast<size_t>(D->Winner)];
+            auto It = KeyToPool.find(W.Partner);
+            if (It != KeyToPool.end()) {
+              const uint32_t P = It->second;
+              if (P != I && !Pool[P].Consumed &&
+                  !ReplayConsumes.count(static_cast<uint32_t>(I)) &&
+                  !ReplayConsumes.count(P)) {
+                T.Hits.push_back(
+                    {W.Distance, P, Pool[P].ModuleId, /*EstProfit=*/0});
+                T.Replay = &W;
+                T.Speculate = true;
+              }
+              ReplayConsumes.insert(P);
+            }
           }
           Tasks.push_back(std::move(T));
           continue;
@@ -786,8 +815,11 @@ void MergePipeline::runParallel(unsigned NumThreads) {
               return;
             AttemptTask &Task = Tasks[T];
             if (!Task.Speculate)
-              continue; // cache-routed: commit will run it inline
+              continue; // inert: commit will run it inline
             const PoolEntry &E1 = Pool[Task.PoolIdx];
+            AlignmentReplay AR;
+            if (Task.Replay)
+              AR = replayOf(*Task.Replay);
             // Per-task guard: a failure *outside* the per-attempt guard
             // (the TaskFailure fault point models infrastructure dying
             // between attempts) drops the task's partial results and
@@ -801,9 +833,10 @@ void MergePipeline::runParallel(unsigned NumThreads) {
               Task.Attempts.reserve(Task.Hits.size());
               for (const CandidateIndex::Hit &R : Task.Hits) {
                 const PoolEntry &E2 = Pool[R.Id];
-                MergeAttempt A =
-                    guardedAttempt(*E1.F, *E2.F, E1.CostSize, E2.CostSize,
-                                   WS.Staging.get(), &WS.FailuresRun);
+                MergeAttempt A = guardedAttempt(
+                    *E1.F, *E2.F, E1.CostSize, E2.CostSize,
+                    WS.Staging.get(), &WS.FailuresRun,
+                    Task.Replay ? &AR : nullptr);
                 ++WS.AttemptsRun;
                 WS.AlignmentSeconds += A.Stats.AlignmentSeconds;
                 WS.CodeGenSeconds += A.Stats.CodeGenSeconds;
@@ -824,8 +857,7 @@ void MergePipeline::runParallel(unsigned NumThreads) {
     }
 
     // Commit stage: serial, in pool order, with optimistic
-    // re-validation (see commitEntry). Entries that skipped speculation
-    // (cache-routed, or demoted by a task failure) commit exactly like
+    // re-validation (see commitEntry). Inert tasks commit exactly like
     // the serial path, with no conflict bookkeeping. Entries the snapshot
     // loop never turned into tasks (already consumed, or silent: no live
     // same-class candidate existed — and none can appear later, see the

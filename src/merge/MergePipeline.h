@@ -57,7 +57,11 @@
 /// attached, the serial commit stage replays cached entry decisions —
 /// skipping ranking and alignment while burning the exact unique-name
 /// sequence of the cold run — with a per-entry fallback to the live path
-/// (see merge/DecisionCache.h).
+/// (see merge/DecisionCache.h). Replay shares the optimistic attempt
+/// stage: when a cached winner's partner is live at snapshot time, a
+/// worker builds the winner from its recorded alignment, and the commit
+/// stage reuses that attempt under the same rule as a live one (both
+/// inputs still unconsumed), verifier firewall included.
 ///
 /// Failure containment (see "Failure containment & fault injection" in
 /// src/merge/README.md): every attempt runs behind an attempt guard that
@@ -245,11 +249,20 @@ private:
   /// Snapshot work unit for one pool entry in an optimistic round.
   struct AttemptTask {
     uint32_t PoolIdx = 0;
-    std::vector<CandidateIndex::Hit> Hits; ///< snapshot top-t ranking
+    /// A live entry's snapshot top-t ranking; for a cache-hit entry, the
+    /// recorded winner's partner alone.
+    std::vector<CandidateIndex::Hit> Hits;
     std::vector<MergeAttempt> Attempts;    ///< parallel results, 1:1 with Hits
-    /// False for entries routed to cache replay and for tasks a worker
-    /// failure demoted: workers leave them alone and the commit stage
-    /// runs them inline, exactly like the serial path.
+    /// The recorded winning attempt of a cache-hit entry (null for live
+    /// entries): workers build it with its alignment replayed, and only
+    /// replayFromCache may reuse the result.
+    const CachedAttempt *Replay = nullptr;
+    /// False for inert tasks — cache-hit entries whose winner cannot be
+    /// built ahead (dry decisions, partners that do not resolve to a live
+    /// entry at snapshot time), partners an earlier replay in the window
+    /// is predicted to consume, and tasks a worker failure demoted:
+    /// workers leave them alone and the commit stage runs them inline,
+    /// exactly like the serial path.
     bool Speculate = true;
   };
 
@@ -292,14 +305,26 @@ private:
   /// the most profitable one. Exactly replays the serial driver's
   /// attempt order, record order and name allocation.
   void commitEntry(size_t I, AttemptTask *Spec);
-  /// The commit tail shared by the live path and cache replay: thunks
-  /// both inputs of \p Best (entry \p I, partner \p PartnerIdx), marks
-  /// record \p BestRecord committed, retires both inputs, offers the
-  /// merged function back to the pool and journals \p Trace with the
-  /// winner at offset \p WinnerOffset of its partners.
+  /// The commit-stage attempt of entry \p I with partner \p PartnerIdx,
+  /// shared by the live path and cache replay. Reuses the Valid
+  /// speculative attempt \p Spec holds for exactly that partner, burning
+  /// into \p StagedName the unique name the serial generator would have
+  /// consumed here; otherwise runs the attempt inline into Materialize
+  /// (with \p Replay's alignment, when set) and leaves \p StagedName
+  /// empty. The caller must have checked that both inputs are
+  /// unconsumed — that is what makes a reused attempt current.
+  MergeAttempt attemptAt(size_t I, uint32_t PartnerIdx, AttemptTask *Spec,
+                         std::string &StagedName,
+                         const AlignmentReplay *Replay = nullptr);
+  /// The commit tail shared by the live path and cache replay: adopts a
+  /// staged \p Best into Materialize under \p StagedName (empty: it was
+  /// generated there), thunks both its inputs (entry \p I, partner \p
+  /// PartnerIdx), marks record \p BestRecord committed, retires both
+  /// inputs, offers the merged function back to the pool and journals \p
+  /// Trace with the winner at offset \p WinnerOffset of its partners.
   void commitWinner(size_t I, size_t PartnerIdx, MergeAttempt &Best,
-                    size_t BestRecord, size_t WinnerOffset,
-                    PipelineEntryTrace &Trace);
+                    const std::string &StagedName, size_t BestRecord,
+                    size_t WinnerOffset, PipelineEntryTrace &Trace);
   /// Discards every speculative attempt of \p Spec not consumed yet.
   void discardRemaining(AttemptTask &Spec);
   /// Guarded attempt: attemptMerge behind the attempt guard. Every
@@ -324,10 +349,11 @@ private:
   /// a cached decision was found and every recorded partner resolved to
   /// a live pool entry: the whole entry was then replayed (skipped
   /// records + name burns for non-winners, codegen with the recorded
-  /// alignment for the winner, votes and model observations as
-  /// recorded) and committed/journaled exactly like the live path.
-  /// Returns false — entry untouched — on any mismatch; the caller runs
-  /// the live path and counts a CacheMiss.
+  /// alignment for the winner — reusing \p Spec's worker-built attempt
+  /// when there is one — votes and model observations as recorded) and
+  /// committed/journaled exactly like the live path. Returns false —
+  /// entry and \p Spec untouched — on any mismatch; the caller discards
+  /// \p Spec, runs the live path and counts a CacheMiss.
   bool replayFromCache(size_t I, AttemptTask *Spec);
 
   // --- failure containment --------------------------------------------------

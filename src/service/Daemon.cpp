@@ -294,11 +294,11 @@ std::vector<uint8_t> Daemon::handleRegister(const WireRequestHeader &Req,
     return error(StatusCode::BadFrame, "malformed RegisterModules body");
   if (std::string Why = validateRequest(RM); !Why.empty())
     return error(StatusCode::BadFrame, Why);
-  // Daemon startup defaults fill warm-path knobs the request left unset:
-  // this is how a restarted `salssad --decision-cache=PATH` warm-replays
-  // its first session transparently to clients.
-  if (RM.DecisionCachePath.empty())
-    RM.DecisionCachePath = Options.Defaults.Driver.DecisionCachePath;
+  // Daemon startup defaults fill warm-path knobs the request left unset,
+  // and the decision cache is always the daemon's own (validateRequest
+  // refuses a client-named path): this is how a restarted
+  // `salssad --decision-cache=PATH` warm-replays its first session
+  // transparently to clients.
   if (!RM.HashClustering && Options.Defaults.Driver.HashClustering)
     RM.HashClustering = true;
   if (!RM.ReelectHost && Options.Defaults.ReelectHost)
@@ -319,7 +319,7 @@ std::vector<uint8_t> Daemon::handleRegister(const WireRequestHeader &Req,
     SO.Driver.Host = RM.Host;
     SO.Driver.HashClustering = RM.HashClustering;
     SO.Driver.Canonicalize = RM.Canonicalize;
-    SO.Driver.DecisionCachePath = RM.DecisionCachePath;
+    SO.Driver.DecisionCachePath = Options.Defaults.Driver.DecisionCachePath;
     SO.QuarantineDecayEpochs = RM.QuarantineDecayEpochs;
     SO.ReelectHost = RM.ReelectHost;
     Svc = std::make_unique<MergeService>(SO);

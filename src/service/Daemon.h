@@ -66,10 +66,11 @@ struct DaemonOptions {
   /// stale) before bind and on shutdown.
   std::string SocketPath;
   /// Startup defaults merged into RegisterModules requests that leave
-  /// the warm-path knobs unset (empty DecisionCachePath, false
-  /// HashClustering/ReelectHost, zero QuarantineDecayEpochs). This is
-  /// how `salssad --decision-cache=...` makes a restarted daemon
-  /// warm-replay its first session without the client knowing.
+  /// the warm-path knobs unset (false HashClustering/ReelectHost, zero
+  /// QuarantineDecayEpochs). Defaults.Driver.DecisionCachePath is the
+  /// only decision cache a session ever uses — requests must not name
+  /// one. This is how `salssad --decision-cache=...` makes a restarted
+  /// daemon warm-replay its first session without the client knowing.
   MergeServiceOptions Defaults;
   /// Protocol fault injection (FaultKind::Protocol rate applies).
   /// Resolved from SALSSA_FAULTS when left disarmed.

@@ -344,6 +344,13 @@ std::string salssa::validateRequest(const RegisterModulesRequest &RM) {
       P.MaxSize > MaxGeneratedFunctionSize)
     return "function sizes not ordered MinSize <= AvgSize <= MaxSize <= " +
            std::to_string(MaxGeneratedFunctionSize);
+  // The generator draws a family size below MaxFamily - MinFamily + 1,
+  // which must neither wrap nor go negative.
+  if (P.MinFamily > P.MaxFamily || P.MaxFamily > MaxPoolFunctions)
+    return "family sizes not ordered MinFamily <= MaxFamily <= " +
+           std::to_string(MaxPoolFunctions);
+  if (P.GiantPairSize > MaxGeneratedFunctionSize)
+    return "GiantPairSize above " + std::to_string(MaxGeneratedFunctionSize);
   for (std::string Err :
        {checkPercent("CloneFamilyPercent", P.CloneFamilyPercent),
         checkPercent("FamilyDriftPercent", P.FamilyDriftPercent),
@@ -366,11 +373,18 @@ std::string salssa::validateRequest(const RegisterModulesRequest &RM) {
   if (RM.Host != HostPolicy::First && RM.Host != HostPolicy::Biggest &&
       RM.Host != HostPolicy::Hottest)
     return "unknown host policy";
+  // The cache file is read and rewritten through temp + rename, so a
+  // client-chosen path would be a client-chosen filesystem write.
+  if (!RM.DecisionCachePath.empty())
+    return "DecisionCachePath must be empty: the daemon names its own cache";
   return {};
 }
 
 std::string salssa::validateRequest(const ApplyDeltaRequest &AR,
                                     size_t NumModules) {
+  if (AR.Spec.Deletes.size() + AR.Spec.Changes.size() + AR.Spec.Adds.size() >
+      MaxPoolFunctions)
+    return "more than " + std::to_string(MaxPoolFunctions) + " edit ops";
   for (const std::vector<EditOp> *Ops :
        {&AR.Spec.Deletes, &AR.Spec.Changes, &AR.Spec.Adds})
     for (const EditOp &O : *Ops) {
@@ -382,6 +396,8 @@ std::string salssa::validateRequest(const ApplyDeltaRequest &AR,
     }
   const DriftOptions &D = AR.Spec.Drift;
   const RandomFunctionOptions &G = AR.Spec.Generate;
+  if (G.TargetSize > MaxGeneratedFunctionSize)
+    return "TargetSize above " + std::to_string(MaxGeneratedFunctionSize);
   for (std::string Err :
        {checkPercent("MutatePercent", D.MutatePercent),
         checkPercent("InsertPercent", D.InsertPercent),

@@ -179,10 +179,10 @@ bool decodeString(ByteReader &R, std::string &S);
 /// RegisterModules: the deterministic session spec. The daemon builds
 /// `NumModules` modules from `Profile` (workloads/Suites.h), applies
 /// its own startup defaults for warm-path knobs the request leaves
-/// unset (empty DecisionCachePath, false HashClustering/ReelectHost),
-/// and runs MergeService::initialize(). Registering twice with the
-/// byte-identical body is idempotent; a different body fails with
-/// AlreadyRegistered.
+/// unset (false HashClustering/ReelectHost, zero QuarantineDecayEpochs)
+/// and its own decision cache, and runs MergeService::initialize().
+/// Registering twice with the byte-identical body is idempotent; a
+/// different body fails with AlreadyRegistered.
 struct RegisterModulesRequest {
   BenchmarkProfile Profile;
   uint32_t NumModules = 2;
@@ -193,6 +193,10 @@ struct RegisterModulesRequest {
   HostPolicy Host = HostPolicy::First;
   bool HashClustering = false;
   bool Canonicalize = false;
+  /// Must be empty (validateRequest): the daemon reads and rewrites its
+  /// decision cache only at the path its operator configured. The field
+  /// stays on the wire so the body layout and ProtocolVersion do not
+  /// change.
   std::string DecisionCachePath;
   uint32_t QuarantineDecayEpochs = 0;
   bool ReelectHost = false;
@@ -235,16 +239,20 @@ constexpr uint32_t MaxExplorationThreshold = 64;
 
 /// Why \p RM is out of bounds, or an empty string when it is acceptable:
 /// 1..MaxRegisteredModules modules, 1..MaxPoolFunctions functions,
-/// MinSize <= AvgSize <= MaxSize <= MaxGeneratedFunctionSize, every
-/// percentage <= 100, NumThreads and ShardCount <= MaxWorkerThreads,
-/// ExplorationThreshold in 1..MaxExplorationThreshold, and known
-/// Selection and Host values. The daemon answers a non-empty reason with
-/// StatusCode::BadFrame.
+/// MinSize <= AvgSize <= MaxSize <= MaxGeneratedFunctionSize, MinFamily <=
+/// MaxFamily <= MaxPoolFunctions, GiantPairSize <=
+/// MaxGeneratedFunctionSize, every percentage <= 100, NumThreads and
+/// ShardCount <= MaxWorkerThreads, ExplorationThreshold in
+/// 1..MaxExplorationThreshold, known Selection and Host values, and an
+/// empty DecisionCachePath (the daemon writes only where its operator
+/// said: `salssad --decision-cache`). The daemon answers a non-empty
+/// reason with StatusCode::BadFrame.
 std::string validateRequest(const RegisterModulesRequest &RM);
 
 /// Why \p AR is out of bounds for a session of \p NumModules modules, or
-/// an empty string: every op has a known kind and a ModuleIdx below
-/// \p NumModules, and every percentage is <= 100.
+/// an empty string: at most MaxPoolFunctions ops in total, every op has a
+/// known kind and a ModuleIdx below \p NumModules, every percentage is
+/// <= 100, and Generate.TargetSize is <= MaxGeneratedFunctionSize.
 std::string validateRequest(const ApplyDeltaRequest &AR, size_t NumModules);
 
 struct QueryStatsRequest {

@@ -18,6 +18,10 @@
 //  4. CacheIO fault injection degrades both load and save to the
 //     no-cache behavior — a broken cache can cost the fast path, never
 //     a merge.
+//  5. Warm replay shares the optimistic attempt stage: on a one-class
+//     pool the attempt workers build the replayed winners, with nothing
+//     discarded and nothing re-run inline, and neither edited input nor
+//     worker task failures make a warm run depend on the thread count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,8 +30,10 @@
 #include "merge/DecisionCache.h"
 #include "merge/MergeDriver.h"
 #include "support/Serialization.h"
+#include "workloads/EditScript.h"
 #include "workloads/Suites.h"
 #include <cstdio>
+#include <functional>
 #include <gtest/gtest.h>
 
 using namespace salssa;
@@ -68,9 +74,13 @@ struct RunOutcome {
   bool VerifierOk = false;
 };
 
-RunOutcome runConfig(const BenchmarkProfile &P, MergeDriverOptions DO) {
+/// Builds \p P, applies \p Edit (when set) and merges under \p DO.
+RunOutcome runConfig(const BenchmarkProfile &P, MergeDriverOptions DO,
+                     const std::function<void(Module &)> &Edit = {}) {
   Context Ctx;
   std::unique_ptr<Module> M = buildBenchmarkModule(P, Ctx);
+  if (Edit)
+    Edit(*M);
   RunOutcome O;
   O.Stats = runFunctionMerging(*M, DO);
   for (const MergeRecord &R : O.Stats.Records)
@@ -221,6 +231,108 @@ TEST(DecisionCacheTest, ComposesWithHashClustering) {
   expectSameMerges(Warm, Cold, "clustered warm");
   EXPECT_EQ(Warm.Stats.HashClusterCommits, Cold.Stats.HashClusterCommits);
   EXPECT_EQ(Warm.Stats.CacheMisses, 0u);
+  std::remove(DO.DecisionCachePath.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Warm replay on the attempt workers
+//===----------------------------------------------------------------------===//
+
+TEST(DecisionCacheTest, OneClassWarmRunBuildsWinnersOnTheAttemptWorkers) {
+  // One class gets every thread, so a warm run replays through the
+  // optimistic attempt stage: workers build the recorded winners from
+  // their alignments, and the commit stage reuses every one of them.
+  BenchmarkProfile P = cacheProfile(43);
+  P.RetTypeVariety = 1;
+  MergeDriverOptions DO = baseOptions();
+  DO.DecisionCachePath = cachePath("oneclass");
+  RunOutcome Cold = runConfig(P, DO);
+  ASSERT_GT(Cold.Stats.CommittedMerges, 0u);
+  for (unsigned NT : {2u, 4u}) {
+    MergeDriverOptions Warm = DO;
+    Warm.NumThreads = NT;
+    std::string Tag = "threads=" + std::to_string(NT);
+    RunOutcome O = runConfig(P, Warm);
+    expectSameMerges(O, Cold, Tag);
+    EXPECT_EQ(O.Stats.CacheMisses, 0u) << Tag;
+    EXPECT_GT(O.Stats.SpeculativeAttempts, 0u) << Tag;
+    EXPECT_EQ(O.Stats.SpeculativeDiscarded, 0u) << Tag;
+    EXPECT_EQ(O.Stats.InlineReattempts, 0u) << Tag;
+    EXPECT_EQ(O.Stats.CommitConflicts, 0u) << Tag;
+    EXPECT_EQ(O.Stats.PairingDistanceCalls, 0u) << Tag;
+    EXPECT_EQ(O.Stats.PeakAlignmentBytes, 0u) << Tag;
+    EXPECT_EQ(O.Stats.Attempts, O.Stats.CommittedMerges) << Tag;
+  }
+  std::remove(DO.DecisionCachePath.c_str());
+}
+
+TEST(DecisionCacheTest, WarmReplayOnEditedInputIsThreadCountInvariant) {
+  // A cache recorded on the pristine pool, replayed after a few edit
+  // steps: entries whose recorded partners still resolve replay, the
+  // rest miss and run live. Which is which must not depend on the
+  // thread count, nor may the bytes. Each run starts from the pristine
+  // recording (a warm run rewrites the file with its misses).
+  BenchmarkProfile P = cacheProfile(47);
+  P.NumFunctions = 96;
+  P.RetTypeVariety = 1;
+  MergeDriverOptions DO = baseOptions();
+  DO.DecisionCachePath = cachePath("edited");
+  runConfig(P, DO);
+  std::vector<uint8_t> Pristine = fileBytes(DO.DecisionCachePath);
+
+  EditScriptOptions EO;
+  EO.NumSteps = 3;
+  EO.Drift.InsertPercent = 0;
+  EO.Generate.TargetSize = 30;
+  EO.Seed = 47;
+  auto edit = [&EO](Module &M) {
+    EditScript Script({&M}, EO);
+    for (unsigned S = 0; S < Script.numSteps(); ++S)
+      for (Function *F : Script.applyStep({&M}, S).Deleted)
+        M.eraseFunction(F);
+  };
+
+  RunOutcome Serial;
+  for (unsigned NT : {1u, 2u, 4u}) {
+    ASSERT_TRUE(writeFileBytes(DO.DecisionCachePath, Pristine));
+    MergeDriverOptions Warm = DO;
+    Warm.NumThreads = NT;
+    std::string Tag = "threads=" + std::to_string(NT);
+    RunOutcome O = runConfig(P, Warm, edit);
+    EXPECT_GT(O.Stats.CacheHits, 0u) << Tag;
+    EXPECT_GT(O.Stats.CacheMisses, 0u) << Tag;
+    if (NT == 1) {
+      ASSERT_TRUE(O.VerifierOk);
+      Serial = std::move(O);
+      continue;
+    }
+    expectSameMerges(O, Serial, Tag);
+    EXPECT_EQ(O.Stats.CacheHits, Serial.Stats.CacheHits) << Tag;
+    EXPECT_EQ(O.Stats.CacheMisses, Serial.Stats.CacheMisses) << Tag;
+    EXPECT_EQ(O.Stats.Attempts, Serial.Stats.Attempts) << Tag;
+  }
+  std::remove(DO.DecisionCachePath.c_str());
+}
+
+TEST(DecisionCacheTest, TaskFailuresOnReplayTasksNeverChangeTheBytes) {
+  // The per-task guard covers replay tasks like live ones: a worker that
+  // dies building a recorded winner demotes the entry to an inline
+  // replay at the commit stage.
+  BenchmarkProfile P = cacheProfile(53);
+  P.RetTypeVariety = 1;
+  MergeDriverOptions DO = baseOptions();
+  DO.DecisionCachePath = cachePath("taskfail");
+  RunOutcome Cold = runConfig(P, DO);
+  ASSERT_GT(Cold.Stats.CommittedMerges, 0u);
+  MergeDriverOptions Warm = DO;
+  Warm.NumThreads = 4;
+  Warm.Faults.Seed = 6;
+  Warm.Faults.setRate(FaultKind::TaskFailure, 300);
+  RunOutcome O = runConfig(P, Warm);
+  expectSameMerges(O, Cold, "task faults");
+  EXPECT_GT(O.Stats.TaskFailures, 0u);
+  EXPECT_EQ(O.Stats.CacheMisses, 0u);
+  EXPECT_EQ(O.Stats.Attempts, O.Stats.CommittedMerges);
   std::remove(DO.DecisionCachePath.c_str());
 }
 

@@ -52,7 +52,8 @@ std::vector<std::vector<uint8_t>> validPayloads() {
   RM.ExplorationThreshold = 3;
   RM.Host = HostPolicy::Biggest;
   RM.HashClustering = true;
-  RM.DecisionCachePath = "cache.bin";
+  // DecisionCachePath stays empty: a named path fails validation, and the
+  // seed must pass it so mutations of every other field reach the bounds.
   RM.QuarantineDecayEpochs = 2;
   ByteWriter RW;
   RM.encode(RW);

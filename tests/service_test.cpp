@@ -572,6 +572,24 @@ TEST(ServiceDaemon, OutOfBoundsRegisterModulesIsBadFrame) {
       {"Selection 3",
        [](auto &RM) { RM.Selection = static_cast<SelectionStrategy>(3); }},
       {"Host 3", [](auto &RM) { RM.Host = static_cast<HostPolicy>(3); }},
+      {"MinFamily > MaxFamily",
+       [](auto &RM) {
+         RM.Profile.MinFamily = 5;
+         RM.Profile.MaxFamily = 4;
+       }},
+      // The body that used to kill the daemon: the generator's family
+      // draw wrapped to nextBelow(0).
+      {"MaxFamily 4294967295",
+       [](auto &RM) {
+         RM.Profile.CloneFamilyPercent = 100;
+         RM.Profile.MinFamily = 0;
+         RM.Profile.MaxFamily = 4294967295u;
+       }},
+      {"MaxFamily 65537", [](auto &RM) { RM.Profile.MaxFamily = 65537; }},
+      {"GiantPairSize 4097",
+       [](auto &RM) { RM.Profile.GiantPairSize = 4097; }},
+      {"DecisionCachePath set",
+       [](auto &RM) { RM.DecisionCachePath = "client_chosen.bin"; }},
   };
   for (const auto &[Name, Mutate] : Cases) {
     SCOPED_TRACE(Name);
@@ -624,6 +642,13 @@ TEST(ServiceDaemon, OutOfBoundsApplyDeltaIsBadFrame) {
        [&](auto &S) { S.Deletes.push_back(opAt(2, EditOp::Delete)); }},
       {"MutatePercent 101", [](auto &S) { S.Drift.MutatePercent = 101; }},
       {"LoopPercent 101", [](auto &S) { S.Generate.LoopPercent = 101; }},
+      {"TargetSize 4097", [](auto &S) { S.Generate.TargetSize = 4097; }},
+      {"65537 edit ops",
+       [&](auto &S) {
+         S.Deletes.assign(20000, opAt(0, EditOp::Delete));
+         S.Changes.assign(20000, opAt(0, EditOp::Change));
+         S.Adds.assign(25537, opAt(0, EditOp::Add));
+       }},
   };
   uint64_t Token = 0xB0B;
   for (const auto &[Name, Mutate] : Cases) {
