@@ -11,7 +11,6 @@
 #include "ir/SymbolResolution.h"
 #include "merge/DecisionCache.h"
 #include "merge/MergePipeline.h"
-#include "merge/StructuralHash.h"
 #include "support/Chrono.h"
 #include "transforms/Canonicalize.h"
 #include "transforms/Mem2Reg.h"
@@ -134,29 +133,13 @@ CrossModuleStats CrossModuleMerger::run() {
           demoteRegistersToMemory(*F, Ctx);
 
   // Session-level fault resolution, mirroring the pipeline's own: the
-  // pre-cluster pass and the cache I/O sit outside any pipeline, so they
-  // resolve the SALSSA_FAULTS fallback themselves.
+  // cache I/O sits outside any pipeline, so it resolves the SALSSA_FAULTS
+  // fallback itself.
   FaultInjectionConfig SessionFaults = Options.Faults.armed()
                                            ? Options.Faults
                                            : FaultInjectionConfig::fromEnv();
   const FaultInjectionConfig *SessionFaultsPtr =
       SessionFaults.armed() ? &SessionFaults : nullptr;
-
-  // Structural-hash fast path, serially BEFORE the classes form:
-  // exact-clone groups commit into the real host as one body + direct
-  // thunks (one name burn per group, ahead of every splice burn), and the
-  // classes below only see the surviving pool (thunked members are gone,
-  // the cluster bodies may merge further).
-  std::unordered_set<const Function *> ClusterPool;
-  const bool Clustering = Options.HashClustering;
-  if (Clustering) {
-    PreClusterStats PCS;
-    ClusterPool = preClusterIdenticalFunctions(Modules, *Host, Options.Arch,
-                                               BaselineSize, SessionFaultsPtr,
-                                               PCS);
-    Stats.Driver.HashClusterCommits = PCS.ClusterCommits;
-    Stats.Driver.FingerprintFaults = PCS.FingerprintFaults;
-  }
 
   // Persistent decision cache, shared by every class pipeline: loaded
   // (and self-invalidated on damage or an options/version mismatch) once,
@@ -173,17 +156,14 @@ CrossModuleStats CrossModuleMerger::run() {
   }
 
   // Fingerprint the pool once (post FMSA demotion) and sort it into its
-  // merge-compatibility classes. With clustering on, the include-set is
-  // the authoritative pool predicate (thunked members are still
-  // "mergeable" but gone from the session's pool; cluster bodies joined
-  // it).
+  // merge-compatibility classes.
   std::deque<Fingerprint> FPs; // stable addresses for the view
   FingerprintView FPView;
   ClassSlices Classes;
   std::set<Type *> All;
   for (Module *M : Modules)
     for (Function *F : M->functions()) {
-      if (Clustering ? !ClusterPool.count(F) : !F->isMergeable())
+      if (!F->isMergeable())
         continue;
       FPs.push_back(fingerprintFor(*F, Options.Canonicalize));
       FPView.emplace(F, &FPs.back());

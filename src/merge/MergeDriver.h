@@ -95,11 +95,14 @@ struct MergeDriverOptions {
   /// lets one DecisionCachePath warm sessions at any ShardCount.
   unsigned ShardCount = 1;
   /// Host-module selection for whole-program sessions when the caller
-  /// does not pick one explicitly (see HostPolicy, MergeOptions.h):
-  /// First (default) takes the first registered module, Biggest the
-  /// most instructions, Hottest the best merge-candidate density.
-  /// MergeServiceOptions::ReelectHost re-runs this election per epoch;
-  /// under First it can never move, so re-election is a no-op there.
+  /// does not pick one explicitly (see HostPolicy, MergeOptions.h, and
+  /// selectHostModule): First (default) takes the first registered
+  /// module, Biggest the largest estimateModuleSize under Arch's size
+  /// model, Hottest the most call sites into its definitions across the
+  /// registered set (counted after symbol resolution); ties go to the
+  /// earlier-registered module. MergeService re-runs the election after
+  /// every delta, as a cold run over the new pool would; under First it
+  /// can never move.
   HostPolicy Host = HostPolicy::First;
   /// Per-attempt resource caps (see AttemptBudget, MergeOptions.h). All
   /// caps default to 0 = unlimited: the zero-budget path is bit-identical
@@ -120,10 +123,11 @@ struct MergeDriverOptions {
   /// the pipeline falls back to the SALSSA_FAULTS environment spec, so a
   /// stock binary can be soaked without a rebuild.
   FaultInjectionConfig Faults;
-  /// Exact structural-hash pre-clustering (merge/StructuralHash.h):
-  /// before pairwise ranking runs, hash-identical function groups are
-  /// committed as one merged body + direct thunks, with zero
-  /// CandidateIndex queries and zero alignment work. Off by default —
+  /// Exact structural-hash pre-clustering (merge/StructuralHash.h), the
+  /// first stage of each class pipeline: before pairwise ranking runs,
+  /// hash-identical function groups are committed as one merged body +
+  /// direct thunks, with zero CandidateIndex queries and zero alignment
+  /// work. Off by default —
   /// the default pipeline stays bit-identical to the pre-fast-path
   /// driver. With clustering on, final reduction can only improve
   /// (cluster bodies skip fid-dispatch overhead) and the clustered
@@ -256,8 +260,8 @@ struct MergeDriverStats {
 
   // Structural-hash fast path + decision cache (both 0 unless the
   // corresponding MergeDriverOptions knob is on). All counted serially
-  // (pre-cluster pass / serial commit stage), so they are identical at
-  // every thread and shard count.
+  // within a class (cluster stage / serial commit stage), so they are
+  // identical at every thread and shard count.
   uint64_t HashClusterCommits = 0; ///< identical-function groups committed
   uint64_t CacheHits = 0;   ///< pool entries replayed from the cache
   uint64_t CacheMisses = 0; ///< cache-enabled entries that ran live

@@ -43,11 +43,12 @@ enum class SelectionStrategy : uint8_t {
   /// distance, pool position), keep the top-t. Deterministic at every
   /// thread count (the model calibrates only from serial-order records).
   Profit,
-  /// Profit ranking plus an exploration threshold t driven per round
-  /// from observed selection outcomes (deep wins widen t, top-1 wins
-  /// shrink it, bounded in [t, t+4]), and — in parallel runs — a commit
-  /// window sized from the observed conflict + skip rate. The adaptive
-  /// window never changes outcomes, only speculation waste.
+  /// Profit ranking plus an exploration threshold t driven per round of
+  /// eight voting entries from observed selection outcomes (deep wins
+  /// widen t, top-1 wins and dry entries shrink it, bounded in
+  /// [t, t+4]). Votes are tallied only at the serial commit stage, so the
+  /// threshold trajectory — and every outcome — is identical at every
+  /// thread count.
   Adaptive,
 };
 

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <unordered_map>
 #include <unordered_set>
 
 using namespace salssa;
@@ -88,33 +89,66 @@ MergePipeline::~MergePipeline() = default;
 //===----------------------------------------------------------------------===//
 
 void MergePipeline::buildPool() {
-  // Build the candidate pool over every registered module. Like the
-  // paper, merging proceeds from the largest functions to the smallest;
-  // the stable sort breaks size ties by (module registration order,
-  // creation order).
-  for (size_t Mi = 0; Mi < Modules.size(); ++Mi) {
-    for (Function *F : Modules[Mi]->functions()) {
-      // The class's members are the authoritative pool predicate: the
-      // session computed them from mergeable functions before any class
-      // launched, and checking them instead of isMergeable() keeps this
-      // pipeline from reading a foreign function's body state (its block
-      // list) while another class's commit stage is rewriting it into a
-      // thunk.
-      if (!Class.Members.count(F))
-        continue;
-      auto FPIt = Fingerprints.find(F);
-      assert(FPIt != Fingerprints.end() &&
-             "precomputed fingerprints must cover the filtered pool");
-      PoolEntry E;
-      E.F = F;
-      E.FP = *FPIt->second;
-      E.CostSize = BaselineSize.at(F);
-      E.ModuleId = static_cast<uint32_t>(Mi);
-      assert((Pool.empty() || E.FP.RetTy == Pool.front().FP.RetTy) &&
-             "a pipeline runs exactly one merge-compatibility class");
-      Pool.push_back(E);
+  // The class's members in (module registration, creation) order. The
+  // members are the authoritative pool predicate: the session computed
+  // them before any class launched, and checking them instead of
+  // isMergeable() keeps this pipeline from reading a foreign function's
+  // body state (its block list) while another class's commit stage is
+  // rewriting it into a thunk.
+  std::vector<Function *> Members;
+  std::vector<uint32_t> MemberModule;
+  for (size_t Mi = 0; Mi < Modules.size(); ++Mi)
+    for (Function *F : Modules[Mi]->functions())
+      if (Class.Members.count(F)) {
+        Members.push_back(F);
+        MemberModule.push_back(static_cast<uint32_t>(Mi));
+      }
+
+  // Exact-clone clustering, the class's first stage: each confirmed,
+  // profitable hash group commits as one body in the scratch module plus
+  // direct thunks, and its members leave the pool.
+  std::unordered_set<const Function *> Consumed;
+  if (Options.HashClustering)
+    for (PreClusterGroup &G :
+         preClusterIdenticalFunctions(Members, Materialize, Options.Arch,
+                                      FaultsPtr, Stats.FingerprintFaults)) {
+      Consumed.insert(G.Members.begin(), G.Members.end());
+      Class.Clusters.push_back({std::move(G)});
     }
+  Stats.HashClusterCommits = Class.Clusters.size();
+
+  // Like the paper, merging proceeds from the largest functions to the
+  // smallest; the stable sort breaks size ties by (module registration
+  // order, creation order). Each cluster body is a host function placed
+  // after the host's members, where cloning it into the host itself
+  // would have put it, and joins the pool whatever AllowRemerge says.
+  for (size_t K = 0; K < Members.size(); ++K) {
+    if (Consumed.count(Members[K]))
+      continue;
+    PoolEntry E;
+    E.F = Members[K];
+    E.FP = *Fingerprints.at(E.F);
+    E.CostSize = BaselineSize.at(E.F);
+    E.ModuleId = MemberModule[K];
+    assert((Pool.empty() || E.FP.RetTy == Pool.front().FP.RetTy) &&
+           "a pipeline runs exactly one merge-compatibility class");
+    Pool.push_back(E);
   }
+  std::vector<PoolEntry> Bodies;
+  for (ClusterCommit &C : Class.Clusters) {
+    PoolEntry E;
+    E.F = C.Merged;
+    E.FP = fingerprintFor(*E.F, Options.Canonicalize);
+    E.CostSize = estimateFunctionSize(*E.F, Options.Arch);
+    E.ModuleId = HostId;
+    C.Size = E.FP.Size;
+    Bodies.push_back(E);
+  }
+  Pool.insert(std::find_if(Pool.begin(), Pool.end(),
+                           [this](const PoolEntry &E) {
+                             return E.ModuleId > HostId;
+                           }),
+              Bodies.begin(), Bodies.end());
   std::stable_sort(Pool.begin(), Pool.end(),
                    [](const PoolEntry &A, const PoolEntry &B) {
                      return A.FP.Size > B.FP.Size;
@@ -909,26 +943,38 @@ void MergePipeline::run() {
 
 namespace {
 
-/// The splice of runClassPipelines: \p Walk holds the slice index of every
-/// original pool entry in global pool order; remerge entries are appended
-/// to it as the replay commits, exactly like a pipeline's own pool walk.
-/// Each step consumes its class's next journal entry; a class's journal
-/// does not depend on what else ran, so the interleaved streams
-/// reconstruct the whole-pool record order.
+/// The splice of runClassPipelines: \p Bodies holds every class's cluster
+/// commits in the order a whole-pool cluster pass commits them, \p Walk
+/// the slice index of every pool entry in global pool order; remerge
+/// entries are appended to it as the replay commits, exactly like a
+/// pipeline's own pool walk. Each step consumes its class's next journal
+/// entry; a class's journal does not depend on what else ran, so the
+/// interleaved streams reconstruct the whole-pool record order.
 void splice(Module &Host, const std::vector<ClassSlice *> &Slices,
+            const std::vector<const ClusterCommit *> &Bodies,
             std::vector<uint32_t> Walk, bool AllowRemerge,
             MergeDriverStats &Into) {
-  // Take every committed merged function out of its current parent (a
-  // scratch module, or Host itself for a class whose journal a
-  // MergeService kept from an earlier epoch): re-adoption in replay order
-  // then rebuilds Host's function order, and no stale name can deflect a
-  // burn.
+  // Take every cluster body and committed merged function out of its
+  // current parent (a scratch module, or Host itself for a class whose
+  // results a MergeService kept from an earlier epoch): re-adoption in
+  // replay order then rebuilds Host's function order, and no stale name
+  // can deflect a burn.
   std::map<Function *, std::unique_ptr<Function>> Taken;
+  auto take = [&Taken](Function *F) {
+    Taken[F] = F->getParent()->takeFunction(F);
+  };
+  for (const ClusterCommit *C : Bodies)
+    take(C->Merged);
   for (const ClassSlice *S : Slices)
     for (const PipelineEntryTrace &Trace : S->Journal)
       if (Trace.WinnerRecord >= 0)
-        Taken[Trace.Merged] =
-            Trace.Merged->getParent()->takeFunction(Trace.Merged);
+        take(Trace.Merged);
+
+  // Cluster bodies first: one name each, ahead of every record's burn.
+  for (const ClusterCommit *C : Bodies)
+    Host.adoptFunction(
+        std::move(Taken.at(C->Merged)),
+        Host.makeUniqueName(C->Members.front()->getName() + ".m"));
 
   struct Cursor {
     size_t J = 0; ///< next journal entry
@@ -966,9 +1012,8 @@ void splice(Module &Host, const std::vector<ClassSlice *> &Slices,
   // Timing fields are sums of per-class accounting — CPU-second semantics
   // across classes, exactly like the per-worker accumulators inside one
   // pipeline. The containment and cache counters are serial-commit-stage
-  // counts, so their sums are deterministic. Session-level counters
-  // (HashClusterCommits, FingerprintFaults, CacheLoadRejected) belong to
-  // the caller.
+  // counts, so their sums are deterministic; so are the cluster stages'.
+  // CacheLoadRejected, a session-level counter, belongs to the caller.
   for (size_t I = 0; I < Slices.size(); ++I) {
     const MergeDriverStats &S = Slices[I]->Stats;
     assert(Cursors[I].J == Slices[I]->Journal.size() &&
@@ -996,6 +1041,8 @@ void splice(Module &Host, const std::vector<ClassSlice *> &Slices,
     Into.CacheHits += S.CacheHits;
     Into.CacheMisses += S.CacheMisses;
     Into.CacheSkips += S.CacheSkips;
+    Into.HashClusterCommits += S.HashClusterCommits;
+    Into.FingerprintFaults += S.FingerprintFaults;
     Into.PeakAlignmentBytes =
         std::max(Into.PeakAlignmentBytes, S.PeakAlignmentBytes);
     Into.AdaptiveThresholdMax =
@@ -1021,41 +1068,30 @@ void salssa::runClassPipelines(
     Slices.push_back(&KV.second);
   }
 
-  // The session's pool in global serial order: size descending, the
-  // stable sort keeping (module registration, creation) order among
-  // equal sizes — the order one pipeline over the whole pool walks.
-  struct WalkEntry {
-    uint32_t Size;
-    uint32_t Slice;
-  };
-  std::vector<WalkEntry> Order;
+  // The classes to run, heaviest first under the alignment-cost proxy
+  // (Σ size² of the members: attempts are quadratic in function size),
+  // ties to the class whose first member comes first in (module
+  // registration, creation) order. This order is only the schedule; no
+  // outcome depends on it.
+  std::vector<uint64_t> Weight(Slices.size(), 0);
+  std::vector<size_t> FirstMember(Slices.size(), SIZE_MAX);
+  size_t Pos = 0;
   for (Module *M : Modules)
     for (Function *F : M->functions()) {
       auto It = SliceOf.find(F->getReturnType());
-      if (It != SliceOf.end() && Slices[It->second]->Members.count(F))
-        Order.push_back({Fingerprints.at(F)->Size, It->second});
+      if (It == SliceOf.end() || !Slices[It->second]->Members.count(F))
+        continue;
+      const uint64_t Size = Fingerprints.at(F)->Size;
+      Weight[It->second] += Size * Size;
+      FirstMember[It->second] = std::min(FirstMember[It->second], Pos++);
     }
-  std::stable_sort(Order.begin(), Order.end(),
-                   [](const WalkEntry &A, const WalkEntry &B) {
-                     return A.Size > B.Size;
-                   });
-
-  // The classes to run, heaviest first under the alignment-cost proxy
-  // (Σ size²: attempts are quadratic in function size), ties to the
-  // class seen first in the walk. This order is only the schedule; no
-  // outcome depends on it.
-  std::vector<uint64_t> Weight(Slices.size(), 0);
-  std::vector<size_t> FirstSeen(Slices.size(), SIZE_MAX);
-  for (size_t Q = 0; Q < Order.size(); ++Q) {
-    Weight[Order[Q].Slice] += uint64_t(Order[Q].Size) * Order[Q].Size;
-    FirstSeen[Order[Q].Slice] = std::min(FirstSeen[Order[Q].Slice], Q);
-  }
   std::vector<uint32_t> Runs;
   for (Type *T : Run) {
     auto It = SliceOf.find(T);
     if (It == SliceOf.end())
       continue;
     ClassSlice &CS = *Slices[It->second];
+    CS.Clusters.clear();
     CS.Journal.clear();
     CS.Stats = MergeDriverStats();
     CS.Quarantined.clear();
@@ -1065,7 +1101,7 @@ void salssa::runClassPipelines(
   std::sort(Runs.begin(), Runs.end(), [&](uint32_t A, uint32_t B) {
     if (Weight[A] != Weight[B])
       return Weight[A] > Weight[B];
-    return FirstSeen[A] < FirstSeen[B];
+    return FirstMember[A] < FirstMember[B];
   });
 
   // Run. Classes touch disjoint functions and the shared Context interns
@@ -1108,11 +1144,63 @@ void salssa::runClassPipelines(
     for (std::vector<DecisionCacheUpdate> &U : Updates)
       Cache->apply(std::move(U));
 
+  // The session's pool in global serial order, known only now that the
+  // cluster stages ran: every unconsumed member in (module registration,
+  // creation) order with every class's cluster bodies after the host's
+  // members, stably sorted by size descending — the order one pipeline
+  // over the whole pool walks. The bodies go in the order a whole-pool
+  // cluster pass commits them: by the position of their hash group's
+  // first-seen function, then peel order.
+  std::unordered_set<const Function *> Consumed;
+  std::unordered_map<const Function *, size_t> FirstSeenPos;
+  std::vector<const ClusterCommit *> Bodies;
+  for (const ClassSlice *S : Slices)
+    for (const ClusterCommit &C : S->Clusters) {
+      Consumed.insert(C.Members.begin(), C.Members.end());
+      FirstSeenPos.emplace(C.FirstSeen, 0);
+      Bodies.push_back(&C);
+    }
+  struct WalkEntry {
+    uint32_t Size;
+    uint32_t Slice;
+  };
+  std::vector<WalkEntry> Order;
+  size_t BodiesAt = 0;
+  Pos = 0;
+  for (Module *M : Modules) {
+    for (Function *F : M->functions()) {
+      auto It = SliceOf.find(F->getReturnType());
+      if (It == SliceOf.end() || !Slices[It->second]->Members.count(F))
+        continue;
+      auto FS = FirstSeenPos.find(F);
+      if (FS != FirstSeenPos.end())
+        FS->second = Pos;
+      ++Pos;
+      if (!Consumed.count(F))
+        Order.push_back({Fingerprints.at(F)->Size, It->second});
+    }
+    if (M == &Host)
+      BodiesAt = Order.size();
+  }
+  std::stable_sort(Bodies.begin(), Bodies.end(),
+                   [&FirstSeenPos](const ClusterCommit *A,
+                                   const ClusterCommit *B) {
+                     return FirstSeenPos.at(A->FirstSeen) <
+                            FirstSeenPos.at(B->FirstSeen);
+                   });
+  std::vector<WalkEntry> BodyWalk;
+  for (const ClusterCommit *C : Bodies)
+    BodyWalk.push_back({C->Size, SliceOf.at(C->Merged->getReturnType())});
+  Order.insert(Order.begin() + BodiesAt, BodyWalk.begin(), BodyWalk.end());
+  std::stable_sort(Order.begin(), Order.end(),
+                   [](const WalkEntry &A, const WalkEntry &B) {
+                     return A.Size > B.Size;
+                   });
   std::vector<uint32_t> Walk;
   Walk.reserve(Order.size());
   for (const WalkEntry &E : Order)
     Walk.push_back(E.Slice);
-  splice(Host, Slices, std::move(Walk), Options.AllowRemerge, Into);
+  splice(Host, Slices, Bodies, std::move(Walk), Options.AllowRemerge, Into);
 #ifndef NDEBUG
   for (const std::unique_ptr<Module> &M : Scratch)
     assert(M->functions().empty() &&

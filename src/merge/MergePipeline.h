@@ -17,6 +17,11 @@
 ///   commit  - profit selection, thunking, pool retire/insert (serial:
 ///             the only stage that mutates the real module and the pool).
 ///
+/// Under MergeDriverOptions::HashClustering a cluster stage precedes them
+/// once per run: exact-clone clustering (merge/StructuralHash.h) commits
+/// the class's hash-identical members as one body plus direct thunks
+/// before the pool is built, so the pool sees the bodies, not the clones.
+///
 /// With MergeDriverOptions::NumThreads == 1 the stages run inline per
 /// pool entry, reproducing the legacy serial driver bit for bit (same
 /// attempts, same records, same merged-function names, same module).
@@ -120,14 +125,29 @@ struct PipelineEntryTrace {
 using FingerprintView =
     std::unordered_map<const Function *, const Fingerprint *>;
 
+/// One exact-clone group a class's cluster stage committed: the group
+/// (body, members, first-seen function) plus the body's fingerprint size,
+/// its key in the pool walk.
+struct ClusterCommit : PreClusterGroup {
+  uint32_t Size = 0;
+};
+
 /// One merge-compatibility class of a session — its pool functions of one
 /// return type — and what its last pipeline run left for the splice.
 /// Classes are provably independent: pairs with different return types
-/// rank at +inf and never merge, and a merged function keeps its inputs'
-/// return type, so no remerge generation crosses a class either.
+/// rank at +inf and never merge, a merged function keeps its inputs'
+/// return type, so no remerge generation crosses a class either, and
+/// structurally identical functions share a return type, so neither does
+/// an exact-clone group.
 struct ClassSlice {
-  /// Exactly the functions that enter the class's candidate pool.
+  /// Exactly the functions offered to the class: its cluster stage (under
+  /// MergeDriverOptions::HashClustering) runs over them, and every one it
+  /// does not consume enters the candidate pool.
   std::unordered_set<const Function *> Members;
+  /// The exact-clone groups of the last run, in commit order. Each body
+  /// is generated in the class scratch module and joins the pool; the
+  /// splice adopts it into the host.
+  std::vector<ClusterCommit> Clusters;
   /// One trace per pool entry of the last run, in serial pool order.
   std::vector<PipelineEntryTrace> Journal;
   MergeDriverStats Stats;
@@ -145,29 +165,35 @@ using ClassSlices = std::map<Type *, ClassSlice>;
 /// every class, MergeService the dirty ones of an epoch).
 ///
 ///   run     one MergePipeline per class of \p Run with members, each over
-///           exactly its Members and generating merged functions into a
-///           class-local scratch module. Classes are provably independent,
-///           so they are submitted heaviest first (Σ size² of the members,
-///           the alignment-cost proxy) to a FIFO pool of W =
-///           min(MergeDriverOptions::ShardCount — 0 = NumThreads —,
-///           classes) workers, each pipeline with max(1, threads / W)
-///           attempt-stage threads. ShardCount = 1 runs them one after
-///           another with every thread.
+///           exactly its Members and generating merged functions (cluster
+///           bodies included) into a class-local scratch module. Classes
+///           are provably independent, so they are submitted heaviest
+///           first (Σ size² of the members, the alignment-cost proxy) to a
+///           FIFO pool of W = min(MergeDriverOptions::ShardCount — 0 =
+///           NumThreads —, classes) workers, each pipeline with
+///           max(1, threads / W) attempt-stage threads. ShardCount = 1
+///           runs them one after another with every thread.
 ///   cache   when \p Cache is set, pipelines replay its decisions
 ///           read-only and their recordings are applied to it after the
 ///           run; persisting it is the caller's move.
 ///   splice  serially, in the exact order one pipeline over the whole
-///           pool would have produced: the walk is every member of every
-///           class of \p Classes in global pool order (size descending,
-///           then module registration and creation order) and each step
-///           consumes its class's next journal entry — classes outside
-///           \p Run replay the journal they kept from an earlier run. One
-///           unique name is burned in \p Host per record whose attempt
-///           burned one, and every committed merged function, taken from
-///           whichever module holds it, is re-adopted into \p Host under
-///           the name burned at its own record, so names and function
-///           order are the serial allocator's. Record names are
-///           re-derived from Function pointers at each step.
+///           pool would have produced. Cluster bodies come first: one
+///           unique name is burned in \p Host per committed group of
+///           every class, ordered by the global (module registration,
+///           creation) position of the group's first-seen function, then
+///           peel order, and the body is adopted under it. Then the walk:
+///           every unconsumed member of every class of \p Classes, with
+///           the cluster bodies (in that order) after the host's members,
+///           in global pool order (size descending, then module and
+///           creation order); each step consumes its class's next
+///           journal entry — classes outside \p Run replay the clusters
+///           and journal they kept from an earlier run. One unique name
+///           is burned in \p Host per record whose attempt burned one,
+///           and every committed merged function, taken from whichever
+///           module holds it, is re-adopted into \p Host under the name
+///           burned at its own record, so names and function order are
+///           the serial allocator's. Record names are re-derived from
+///           Function pointers at each step.
 ///
 /// Appends the replayed records to \p Into.Records, folds every class's
 /// counters into \p Into, and reports the session's live classes and
@@ -190,13 +216,14 @@ public:
   /// A run over \p Class, whose Members live in \p Modules. All modules
   /// must share one Context; \p Host (a member of \p Modules) is the
   /// module every merged function ends up in after the splice, and the
-  /// pipeline's *logical* host (remerge module ids, cross-module
-  /// accounting, same-module tie-breaking). Merged functions are
-  /// generated, named and adopted in \p Scratch instead: a class-local
-  /// module outside \p Modules sharing their Context. \p BaselineSize and
-  /// \p Fingerprints (captured post FMSA demotion, pre merging) must
-  /// cover every member. Registration order is part of the determinism
-  /// contract: it fixes pool order among equal-sized functions.
+  /// pipeline's *logical* host (remerge and cluster-body module ids,
+  /// cross-module accounting, same-module tie-breaking). Merged functions
+  /// and cluster bodies are generated, named and adopted in \p Scratch
+  /// instead: a class-local module outside \p Modules sharing their
+  /// Context. \p BaselineSize and \p Fingerprints (captured post FMSA
+  /// demotion, pre merging) must cover every member. Registration order
+  /// is part of the determinism contract: it fixes cluster order and pool
+  /// order among equal-sized functions.
   ///
   /// \p Cache, when set, is a read-only warm decision cache
   /// (merge/DecisionCache.h): every pool entry gets a (StructuralHash,
@@ -279,6 +306,10 @@ private:
   };
 
   // --- rank stage -----------------------------------------------------------
+  /// Clusters the class's members (under HashClustering) into
+  /// Class.Clusters, then builds the pool: the unconsumed members in
+  /// (module, creation) order with the cluster bodies after the host's,
+  /// sorted by size.
   void buildPool();
   /// Top-t live candidates for pool entry \p I under the configured
   /// selection mode (instrumented into

@@ -116,8 +116,8 @@ MergeServiceStats MergeService::initialize() {
 
   // Session prologue, mirroring CrossModuleMerger::run stage for stage:
   // resolution first, host policy second (Hottest counts resolved call
-  // sites), then the full-session build (warm-path prologues +
-  // registration + merge) shared with every later rebuild.
+  // sites), then the full-session build (cache + registration + merge)
+  // shared with the degraded path.
   LastResolution = resolveCalleesAcrossModules(Modules);
   if (!ExplicitHost)
     Host = selectHostModule(Modules, Options.Driver.Host,
@@ -136,19 +136,12 @@ MergeServiceStats MergeService::initialize() {
 Function *MergeService::DeltaBatch::checkoutForEdit(Function *F) {
   assert(!Applied && "checkout after apply()");
   // Always restore: for a never-merged function this rewrites the same
-  // body (clone of the archive clone), for a thunked one it brings the
-  // original back. Either way the client edits thunk-free code. A
-  // cluster member (consumed by the HashClustering prologue, so not
-  // tracked) restores from its own pristine archive clone.
+  // body (clone of the archive clone), for a thunked one — a merge input
+  // or a cluster member — it brings the original back. Either way the
+  // client edits thunk-free code.
   auto It = S.Tracked.find(F);
-  if (It != S.Tracked.end()) {
-    S.restoreBody(F, It->second.Archived);
-  } else {
-    auto MIt = S.ClusterMembers.find(F);
-    assert(MIt != S.ClusterMembers.end() &&
-           "checkout of an untracked function");
-    S.restoreBody(F, MIt->second.Archived);
-  }
+  assert(It != S.Tracked.end() && "checkout of an untracked function");
+  S.restoreBody(F, It->second.Archived);
   CheckedOut.insert(F);
   return F;
 }
@@ -181,11 +174,9 @@ MergeServiceStats MergeService::applyDeltaLocked(
            "every checked-out function must be declared Changed (or "
            "Deleted) in the applied delta");
   for (Function *F : Delta.Changed)
-    assert((Tracked.count(F) || ClusterMembers.count(F)) &&
-           "Changed entry is not tracked");
+    assert(Tracked.count(F) && "Changed entry is not tracked");
   for (Function *F : Delta.Deleted)
-    assert((Tracked.count(F) || ClusterMembers.count(F)) &&
-           "Deleted entry is not tracked");
+    assert(Tracked.count(F) && "Deleted entry is not tracked");
   for (Function *F : Delta.Added) {
     assert(!Tracked.count(F) && !F->isDeclaration() &&
            "Added entry must be a fresh definition");
@@ -218,37 +209,6 @@ MergeServiceStats MergeService::applyDeltaLocked(
     for (Function *F : Delta.Added)
       Dirty.insert(F->getReturnType());
     Out.DirtyClasses = static_cast<unsigned>(Dirty.size());
-
-    if (Options.Driver.HashClustering) {
-      // The cluster prologue is whole-pool by nature: the smallest edit
-      // can re-form, split or re-lead any group, so every delta rebuilds
-      // the full session — restore the members, tear the whole merge
-      // down, and re-run the cold clustered prologue over the new pool.
-      if (Armed)
-        maybeInjectFault(SessionFaults, FaultKind::SymbolResolution,
-                         "epoch" + std::to_string(Epoch), "symres");
-      restoreClusterMembersExcept(ChangedSet, DeletedSet);
-      uncommitClasses(allClasses(), ChangedSet, DeletedSet, Out);
-      eraseDeleted(Delta.Deleted);
-      eraseClusterBodies();
-      LastResolution = resolveCalleesAcrossModules(Modules);
-      Host->setUniqueNameCounter(PreClusterCounterBase);
-      if (Options.ReelectHost && !ExplicitHost) {
-        // The pool is live-pristine here, so the election is literally
-        // the cold prologue's (post-resolution, pre-cluster).
-        Module *Leader = selectHostModule(Modules, Options.Driver.Host,
-                                          Options.Driver.Arch);
-        if (Leader != Host) {
-          Host = Leader;
-          ++HostReelectionCount;
-          Out.HostReelected = true;
-        }
-      }
-      rebuildSession(Out);
-      Out.ReclusteredFull = true;
-      Last = Out;
-      return Out;
-    }
 
     // 2. Un-commit the dirty classes and drop the deleted functions.
     uncommitClasses(Dirty, ChangedSet, DeletedSet, Out);
@@ -291,31 +251,30 @@ MergeServiceStats MergeService::applyDeltaLocked(
         maybeInjectFault(SessionFaults, FaultKind::Fingerprint,
                          F->getName(), "service");
       }
-      auto MIt = std::find(Modules.begin(), Modules.end(), F->getParent());
-      registerFunction(F,
-                       static_cast<uint32_t>(MIt - Modules.begin()));
+      registerFunction(F, moduleIdOf(F->getParent()));
     }
 
-    // 4.5. Host re-election: re-score the policy over the pristine
-    //      archive (the refreshed bookkeeping above makes it current).
-    //      A moved leader rebuilds the session wholesale on the new
-    //      host — cold-with-that-host by construction.
-    if (Options.ReelectHost && !ExplicitHost &&
-        Options.Driver.Host != HostPolicy::First) {
+    // 5. Host election, re-scored over the pristine archive (the
+    //    refreshed bookkeeping above makes it current), exactly as a cold
+    //    run over the new pool elects. A moved leader un-commits the
+    //    remaining classes and re-runs every class in place on the new
+    //    host, from the new host's own name-counter base.
+    if (!ExplicitHost && Options.Driver.Host != HostPolicy::First) {
       Module *Leader = electHostFromArchive();
       if (Leader != Host) {
-        uncommitClasses(allClasses(), ChangedSet, DeletedSet, Out);
-        Host->setUniqueNameCounter(PreClusterCounterBase);
+        std::set<Type *> All = allClasses();
+        uncommitClasses(All, {}, {}, Out);
+        Host->setUniqueNameCounter(HostCounterBase);
         Host = Leader;
+        HostCounterBase = Host->uniqueNameCounter();
         ++HostReelectionCount;
         Out.HostReelected = true;
-        rebuildSession(Out);
-        Last = Out;
-        return Out;
+        Dirty.insert(All.begin(), All.end());
+        Out.DirtyClasses = static_cast<unsigned>(Dirty.size());
       }
     }
 
-    // 5. Localized re-merge + splice.
+    // 6. Localized re-merge + splice.
     runEpoch(Dirty, Out);
   } catch (const std::exception &) {
     degradeToFullRemerge(Delta, Out);
@@ -338,42 +297,52 @@ void MergeService::uncommitClasses(
     const std::unordered_set<const Function *> &SkipRestore,
     const std::unordered_set<const Function *> &Deleted,
     MergeServiceStats &Out) {
-  std::vector<Function *> MergedToErase;
+  // Cluster bodies and remerge inputs are not tracked: they are erased
+  // below, not restored. Edited/deleted originals keep the bodies the
+  // client gave them.
+  auto restore = [&](Function *F) {
+    auto TIt = Tracked.find(F);
+    if (TIt != Tracked.end() && !SkipRestore.count(F) && !Deleted.count(F))
+      restoreBody(F, TIt->second.Archived);
+  };
+  std::vector<Function *> BodiesToErase, MergedToErase;
   for (Type *T : Dirty) {
     auto CIt = Classes.find(T);
     if (CIt == Classes.end())
       continue;
     ClassSlice &CS = CIt->second;
+    for (const ClusterCommit &C : CS.Clusters) {
+      for (Function *F : C.Members)
+        restore(F);
+      BodiesToErase.push_back(C.Merged);
+    }
     for (const PipelineEntryTrace &Trace : CS.Journal) {
       if (Trace.WinnerRecord < 0)
         continue;
-      Function *Inputs[2] = {
-          Trace.EntryFn,
-          Trace.Partners[static_cast<size_t>(Trace.WinnerRecord)]};
-      for (Function *F : Inputs) {
-        auto TIt = Tracked.find(F);
-        // Remerge inputs are merged functions (not tracked): they are
-        // erased below, not restored. Edited/deleted originals keep the
-        // bodies the client gave them.
-        if (TIt == Tracked.end() || SkipRestore.count(F) ||
-            Deleted.count(F))
-          continue;
-        restoreBody(F, TIt->second.Archived);
-      }
+      restore(Trace.EntryFn);
+      restore(Trace.Partners[static_cast<size_t>(Trace.WinnerRecord)]);
       MergedToErase.push_back(Trace.Merged);
       ++Out.UncommittedMerges;
     }
+    CS.Clusters.clear();
     CS.Journal.clear();
     CS.Stats = MergeDriverStats();
     CS.Members.clear();
   }
-  // Deleted functions may still be thunks into merged functions of their
-  // (dirty) class; drop their bodies before the merged functions go.
+  // Deleted functions may still be thunks into cluster bodies or merged
+  // functions of their (dirty) class; drop their bodies before those go.
   for (const Function *F : Deleted)
     if (Tracked.count(F))
       const_cast<Function *>(F)->clearBody();
-  // Forward commit order: a remerged chain's earlier merged function is
-  // a thunk into a later one, so callers are erased before callees.
+  // Callers before callees: a cluster body that merged again is a thunk
+  // into a later merged function, and a remerged chain's earlier merged
+  // function is a thunk into a later one — so bodies first, then merged
+  // functions in forward commit order. The quarantine ladder may have
+  // struck a body out; its ledger entry goes with it.
+  for (Function *B : BodiesToErase) {
+    QuarantinedAt.erase(B);
+    Host->eraseFunction(B);
+  }
   for (Function *M : MergedToErase)
     Host->eraseFunction(M);
 }
@@ -381,18 +350,8 @@ void MergeService::uncommitClasses(
 void MergeService::eraseDeleted(const std::vector<Function *> &Deleted) {
   for (Function *F : Deleted) {
     auto TIt = Tracked.find(F);
-    if (TIt == Tracked.end()) {
-      // Cluster members are not tracked; drop their archive clone and
-      // ledger entry directly.
-      auto MIt = ClusterMembers.find(F);
-      if (MIt == ClusterMembers.end())
-        continue; // degrade path re-entry: already erased
-      Archive->eraseFunction(MIt->second.Archived);
-      ClusterMembers.erase(MIt);
-      QuarantinedAt.erase(F);
-      F->getParent()->eraseFunction(F);
-      continue;
-    }
+    if (TIt == Tracked.end())
+      continue; // degrade path re-entry: already erased
     TrackedFunction &TF = TIt->second;
     if (TF.Archived)
       Archive->eraseFunction(TF.Archived);
@@ -401,37 +360,6 @@ void MergeService::eraseDeleted(const std::vector<Function *> &Deleted) {
     Tracked.erase(TIt);
     F->getParent()->eraseFunction(F);
   }
-}
-
-// --- HashClustering session state --------------------------------------------
-
-void MergeService::restoreClusterMembersExcept(
-    const std::unordered_set<const Function *> &Skip,
-    const std::unordered_set<const Function *> &Deleted) {
-  for (const auto &KV : ClusterMembers) {
-    Function *F = KV.first;
-    if (Skip.count(F) || Deleted.count(F))
-      continue; // client-edited body stays; deletions erase shortly
-    restoreBody(F, KV.second.Archived);
-  }
-}
-
-void MergeService::eraseClusterBodies() {
-  // A cluster body may have merged further in the downstream pipeline,
-  // in which case it is tracked like any pool function — retire that
-  // bookkeeping alongside the body itself.
-  for (Function *B : ClusterBodies) {
-    auto TIt = Tracked.find(B);
-    if (TIt != Tracked.end()) {
-      if (TIt->second.Archived)
-        Archive->eraseFunction(TIt->second.Archived);
-      Baselines.erase(B);
-      Tracked.erase(TIt);
-    }
-    QuarantinedAt.erase(B);
-    Host->eraseFunction(B);
-  }
-  ClusterBodies.clear();
 }
 
 // --- Re-merge + splice -------------------------------------------------------
@@ -489,25 +417,15 @@ void MergeService::runEpoch(const std::set<Type *> &Dirty,
   for (const auto &KV : Tracked)
     LiveClasses.insert(KV.first->getReturnType());
   Out.TotalClasses = static_cast<unsigned>(LiveClasses.size());
-  // Session-level warm-path counters: set by assignment, exactly like
-  // the cold sessions set them once per run (never summed from class
-  // pipelines). Between full builds they report the session's current
-  // prologue state.
+  // The session-level cache counter is set by assignment, exactly like
+  // the cold sessions set it once per run; between full builds it reports
+  // the last build's load.
   Session.Driver.CacheLoadRejected = SessionCacheLoadRejected;
-  Session.Driver.HashClusterCommits = SessionClusterCommits;
-  Session.Driver.FingerprintFaults = SessionClusterFaults;
   // SizeBefore is the cold run's exactly: estimateModuleSize sums
-  // definitions, and the pool's unmerged definitions are precisely the
-  // tracked originals at their archived (baseline) sizes. Under
-  // HashClustering the pool swaps the (synthetic) cluster bodies in for
-  // the consumed members; undo that swap — the pristine pool is the
-  // members at their archived sizes, with no bodies.
+  // definitions, and the pristine pool's definitions are precisely the
+  // tracked originals at their archived (baseline) sizes.
   for (const auto &KV : Baselines)
     Session.SizeBefore += KV.second;
-  for (Function *B : ClusterBodies)
-    Session.SizeBefore -= Baselines.at(B);
-  for (const auto &KV : ClusterMembers)
-    Session.SizeBefore += KV.second.Baseline;
   for (Module *M : Modules)
     Session.SizeAfter += estimateModuleSize(*M, Options.Driver.Arch);
   Session.CrossModuleMerges = Session.Driver.CrossModuleMerges;
@@ -525,8 +443,6 @@ void MergeService::rebuildSession(MergeServiceStats &Out) {
   // sitting at the pre-burn base.
   Tracked.clear();
   Baselines.clear();
-  ClusterMembers.clear();
-  ClusterBodies.clear();
   {
     std::vector<Function *> Archived;
     for (Function *F : Archive->functions())
@@ -535,52 +451,11 @@ void MergeService::rebuildSession(MergeServiceStats &Out) {
       Archive->eraseFunction(F);
   }
 
-  const FaultInjectionConfig *FaultsPtr =
-      SessionFaults.armed() ? &SessionFaults : nullptr;
-
-  // Structural-hash fast path first, exactly like the cold sessions:
-  // cluster name burns precede every splice burn.
-  PreClusterCounterBase = Host->uniqueNameCounter();
-  SessionClusterCommits = 0;
-  SessionClusterFaults = 0;
-  if (Options.Driver.HashClustering) {
-    // Pristine clones must exist before clustering rewrites the member
-    // bodies into thunks. Survivors re-archive through registerFunction
-    // below, so their pre-clones are dropped again.
-    std::map<Function *, unsigned> PreBase;
-    std::map<Function *, Function *> PreClones;
-    for (Module *M : Modules)
-      for (Function *F : M->functions())
-        if (!F->isDeclaration()) {
-          PreBase[F] = estimateFunctionSize(*F, Options.Driver.Arch);
-          if (F->isMergeable())
-            PreClones[F] =
-                cloneFunctionInto(F, *Archive, F->getName(), {}, {});
-        }
-    PreClusterStats PCS;
-    std::vector<PreClusterGroup> Groups;
-    PCS.Groups = &Groups;
-    preClusterIdenticalFunctions(Modules, *Host, Options.Driver.Arch,
-                                 PreBase, FaultsPtr, PCS);
-    SessionClusterCommits = PCS.ClusterCommits;
-    SessionClusterFaults = PCS.FingerprintFaults;
-    for (const PreClusterGroup &G : Groups) {
-      ClusterBodies.push_back(G.Merged);
-      for (Function *M : G.Members) {
-        auto PIt = PreClones.find(M);
-        assert(PIt != PreClones.end() && "cluster member without pre-clone");
-        ClusterMembers[M] = ClusterMember{
-            PIt->second, moduleIdOf(M->getParent()), PreBase.at(M)};
-        PreClones.erase(PIt);
-      }
-    }
-    for (const auto &KV : PreClones)
-      Archive->eraseFunction(KV.second);
-  }
-
   // One shared decision cache for every class pipeline of this build:
   // loaded (and self-invalidated) once, read-only while pipelines run,
   // appended to from their serial-commit recordings, persisted after.
+  const FaultInjectionConfig *FaultsPtr =
+      SessionFaults.armed() ? &SessionFaults : nullptr;
   DecisionCache Cache;
   uint64_t CacheFP = 0;
   const bool UseCache = !Options.Driver.DecisionCachePath.empty();
@@ -593,14 +468,13 @@ void MergeService::rebuildSession(MergeServiceStats &Out) {
     EpochCache = &Cache;
   }
 
-  // Register the pool: every definition that is not a consumed cluster
-  // member (committed cluster bodies are pool functions and may merge
-  // further — the cold plan's include-set exactly). The quarantine
-  // ledger survives a rebuild; strikes decay on their own schedule.
+  // Register the pool: every definition, the cold session's pool
+  // exactly. The quarantine ledger survives a rebuild; strikes decay on
+  // their own schedule.
   std::set<Type *> Dirty;
   for (uint32_t MId = 0; MId < Modules.size(); ++MId)
     for (Function *F : Modules[MId]->functions())
-      if (!F->isDeclaration() && !ClusterMembers.count(F)) {
+      if (!F->isDeclaration()) {
         registerFunction(F, MId);
         Dirty.insert(F->getReturnType());
       }
@@ -619,9 +493,6 @@ void MergeService::rebuildSession(MergeServiceStats &Out) {
 }
 
 Module *MergeService::electHostFromArchive() const {
-  assert(ClusterBodies.empty() &&
-         "archive election is for the incremental path only (clustering "
-         "deltas elect over the restored live pool)");
   if (Options.Driver.Host == HostPolicy::First || Modules.size() == 1)
     return Modules.front();
   std::vector<uint64_t> Score(Modules.size(), 0);
@@ -665,9 +536,10 @@ void MergeService::degradeToFullRemerge(const MergeDelta &Delta,
   // the whole epoch's bookkeeping idempotently — with the service-level
   // fault points disarmed, so a deterministic fault cannot re-degrade —
   // and rebuilds the whole session: the cost of a cold run, never a
-  // corrupt session. Pipeline-level faults stay armed inside the
-  // pipelines; prologue faults (fingerprint, cache I/O) are contained
-  // by construction and cannot re-degrade either.
+  // corrupt session. Pipeline-level faults (the cluster stage's
+  // fingerprint points included) stay armed inside the pipelines, and
+  // cache I/O faults are contained by construction; neither can
+  // re-degrade.
   ++FullRemergeCount;
   Out.DegradedToFullRemerge = true;
   EpochCache = nullptr; // a fault may have unwound mid-build
@@ -678,18 +550,25 @@ void MergeService::degradeToFullRemerge(const MergeDelta &Delta,
                                                   Delta.Changed.end());
   std::unordered_set<const Function *> DeletedSet(Delta.Deleted.begin(),
                                                   Delta.Deleted.end());
-  restoreClusterMembersExcept(ChangedSet, DeletedSet);
   uncommitClasses(allClasses(), ChangedSet, DeletedSet, Out);
   eraseDeleted(Delta.Deleted);
-  eraseClusterBodies();
 
   // 2. Cold re-prologue over the surviving pool (every definition left
   //    in the registered modules is a pristine pool function — thunks
-  //    were restored and merged/cluster bodies erased above). No host
-  //    re-election on the degrade path: recovery restores service, it
-  //    does not re-plan placement.
+  //    were restored and cluster bodies and merged functions erased
+  //    above): resolution, then the cold run's own election over the live
+  //    pool, then the full build.
   LastResolution = resolveCalleesAcrossModules(Modules);
-  Host->setUniqueNameCounter(PreClusterCounterBase);
+  Host->setUniqueNameCounter(HostCounterBase);
+  if (!ExplicitHost) {
+    Module *Leader =
+        selectHostModule(Modules, Options.Driver.Host, Options.Driver.Arch);
+    if (Leader != Host) {
+      Host = Leader;
+      ++HostReelectionCount;
+      Out.HostReelected = true;
+    }
+  }
   rebuildSession(Out);
 }
 

@@ -76,37 +76,38 @@
 /// is un-committed, registration is rebuilt from scratch, and the whole
 /// pool re-merges — with the service-level fault points disarmed on the
 /// recovery path so a deterministic fault cannot degrade forever.
-/// Pipeline-level faults (alignment/codegen/task/budget) stay contained
-/// inside the pipelines exactly as in batch sessions and never degrade a
-/// delta. A faulted delta is never a corrupt session.
+/// Pipeline-level faults (alignment/codegen/task/budget, and the cluster
+/// stage's fingerprint points) stay contained inside the pipelines
+/// exactly as in batch sessions and never degrade a delta. A faulted
+/// delta is never a corrupt session. Quarantined functions are not class
+/// members, so the cluster stage skips them too.
 ///
-/// ## Warm paths & host re-election
+/// ## Warm paths & host moves
 ///
-/// The session-level fast paths compose with the service on every *full*
-/// session build — initialize(), a degraded delta, a host re-election,
-/// and every delta while HashClustering is on — never on a localized
-/// delta epoch:
+/// A delta runs one of two ways: the localized epoch above, or the
+/// counted degrade. Neither needs a special case for the warm paths:
 ///
-///  - `Driver.DecisionCachePath`: the cache file is loaded before the
-///    class pipelines run and the run's recordings are persisted after
-///    the splice, exactly like the batch sessions. A restarted service
-///    pointed at the same file warm-replays its epoch 0 (the merge
-///    daemon's restart story, service/Daemon.h).
-///  - `Driver.HashClustering`: the pre-cluster pass commits exact-clone
-///    groups into the host ahead of registration; consumed members are
-///    tracked separately (their pristine bodies archived) so a later
-///    delta can restore them. The cluster prologue is whole-pool by
-///    nature, so *any* applied delta rebuilds the full session —
-///    re-cluster + re-merge, byte-identical to a cold clustered run of
-///    the new pool (MergeServiceStats::ReclusteredFull counts it);
-///    incrementality is traded away while clustering is on.
+///  - `Driver.HashClustering`: exact-clone clustering is the first stage
+///    of each class pipeline (MergePipeline.h), so a cluster commit is
+///    class state like any merge. A clean class's splice replays it; a
+///    dirty class un-commits it — members restored from the archive,
+///    body erased — and re-clusters its members.
+///  - `Driver.DecisionCachePath`: read and written only by the two full
+///    session builds, initialize() and the degraded path, exactly like a
+///    batch session — loaded before the class pipelines run, persisted
+///    after the splice. A localized epoch never touches the file. A
+///    restarted service pointed at the same file warm-replays its epoch 0
+///    (the merge daemon's restart story, service/Daemon.h).
 ///
-/// `MergeServiceOptions::ReelectHost` re-runs the host-policy election
-/// after each delta's bookkeeping refresh, scored over the session's
-/// pristine archive (what a cold run would score after resolution). When
-/// the leader moves, the session rebuilds wholesale on the new host —
-/// proven byte-identical to a cold merge hosted there — and
-/// MergeServiceStats::HostReelected reports it.
+/// Host election: a cold run always elects, so unless setHostModule()
+/// pinned the host or the policy is HostPolicy::First, the Driver.Host
+/// election re-runs after every delta's bookkeeping refresh, scored over
+/// the pristine archive (what a cold run scores after resolution). When
+/// the leader moves, the remaining classes are un-committed, the old
+/// host's unique-name counter returns to its base, the new host's counter
+/// becomes the base, and the ordinary localized epoch re-runs every class
+/// in place; MergeServiceStats::HostReelected reports it. The degraded
+/// path elects over the restored pool before it rebuilds.
 ///
 /// v1 limits: SalSSA technique only. Destroy the service before the
 /// modules it serves (the archive keeps operand references into them).
@@ -136,23 +137,15 @@ struct MergeServiceOptions {
   /// ShardCount caps the concurrently running dirty-class pipelines
   /// exactly as in a batch session (runClassPipelines, MergePipeline.h):
   /// outcomes are identical at every value (the determinism contract).
-  /// DecisionCachePath and HashClustering are honoured on full session
-  /// builds (see "Warm paths & host re-election" above); HashClustering
-  /// additionally turns every delta into a counted full rebuild.
+  /// HashClustering runs in every class pipeline; DecisionCachePath is
+  /// honoured on full session builds; Host is re-elected after every
+  /// delta (see "Warm paths & host moves" above).
   MergeDriverOptions Driver;
   /// Quarantine-ladder strike decay: a function the ladder struck out
   /// re-enters candidacy after this many further epochs (its class
   /// re-merges with it back in the pool). 0 (the default) = strikes
   /// never decay (the batch sessions' behaviour). Unit: epochs.
   unsigned QuarantineDecayEpochs = 0;
-  /// Re-run the Driver.Host election after every applied delta, scored
-  /// over the pristine archive; when the score leader moved, rebuild
-  /// the session on the new host (cold-equivalent by construction).
-  /// Default false = the host elected at initialize() is pinned for the
-  /// session's lifetime. Ignored when setHostModule() pinned the host
-  /// explicitly, under HostPolicy::First (the election can never move),
-  /// and on the degraded fault-recovery path.
-  bool ReelectHost = false;
 };
 
 /// One delta batch: functions whose bodies changed, functions the client
@@ -182,15 +175,11 @@ struct MergeServiceStats {
   unsigned QuarantineReleases = 0; ///< ledger entries decayed this epoch
   /// Declared-changed functions whose structural hash did not move
   /// (no-op edits; their class still re-merges — checkout restored it).
-  /// Not computed on full-rebuild epochs (ReclusteredFull below).
   unsigned NoopChanges = 0;
   bool DegradedToFullRemerge = false;
-  /// The host election moved this epoch (MergeServiceOptions::
-  /// ReelectHost): the session rebuilt wholesale on the new leader.
+  /// The host election moved this epoch: every class re-ran on the new
+  /// leader (see "Warm paths & host moves" in the file comment).
   bool HostReelected = false;
-  /// HashClustering forced this delta into a full re-cluster + re-merge
-  /// (the cluster prologue is whole-pool; see the file comment).
-  bool ReclusteredFull = false;
   // Work spent this epoch, summed over the dirty classes' runs only:
   uint64_t EpochPairingDistanceCalls = 0;
   uint64_t EpochPairingProbes = 0;
@@ -267,48 +256,29 @@ private:
     unsigned Baseline = 0;        ///< estimateFunctionSize of the original
   };
 
-  /// A function consumed by a HashClustering group: its body is a direct
-  /// thunk onto the committed cluster body, its pristine self lives on
-  /// in the archive (deltas restore it before re-clustering).
-  struct ClusterMember {
-    Function *Archived = nullptr; ///< pristine clone in the archive
-    uint32_t ModuleId = 0;        ///< index into Modules
-    unsigned Baseline = 0;        ///< pristine estimateFunctionSize
-  };
-
   void registerFunction(Function *F, uint32_t ModuleId);
   void archiveFunction(Function *F, TrackedFunction &TF);
   void restoreBody(Function *F, const Function *Src);
   uint32_t moduleIdOf(const Module *M) const;
-  /// Un-commits every retained merge of the given classes: restores
-  /// archived originals (except functions in \p SkipRestore or
-  /// \p Deleted), clears deleted bodies, erases the merged functions
-  /// from the host in forward commit order, and drops the classes'
-  /// journals/stats/members.
   /// Every class the session has ever run (keys of Classes).
   std::set<Type *> allClasses() const;
+  /// Un-commits every retained cluster and merge of the given classes:
+  /// restores archived originals (except functions in \p SkipRestore or
+  /// \p Deleted), clears deleted bodies, erases the cluster bodies and
+  /// then the merged functions (forward commit order) from the host, and
+  /// drops the classes' clusters/journals/stats/members.
   void uncommitClasses(const std::set<Type *> &Dirty,
                        const std::unordered_set<const Function *> &SkipRestore,
                        const std::unordered_set<const Function *> &Deleted,
                        MergeServiceStats &Out);
   void eraseDeleted(const std::vector<Function *> &Deleted);
-  /// Restores every cluster member's pristine body from its archive
-  /// clone, except members the client edited or deleted this delta.
-  void
-  restoreClusterMembersExcept(const std::unordered_set<const Function *> &Skip,
-                              const std::unordered_set<const Function *>
-                                  &Deleted);
-  /// Erases the committed cluster bodies (and their bookkeeping) from
-  /// the host; members must have been restored or erased first.
-  void eraseClusterBodies();
   /// Rebuilds the whole session over the current pool — the shared core
-  /// of initialize(), the degraded path, host re-election and every
-  /// clustering delta. Caller contract: every original body is live and
-  /// pristine in its registered module (thunks restored, merged and
-  /// cluster bodies erased, deletions applied), resolution has run,
-  /// Host is chosen and its unique-name counter sits at the pre-burn
-  /// base. Runs the warm-path prologues (decision-cache load/save,
-  /// pre-clustering), re-registers everything, and merges every class.
+  /// of initialize() and the degraded path. Caller contract: every
+  /// original body is live and pristine in its registered module (thunks
+  /// restored, cluster bodies and merged functions erased, deletions
+  /// applied), resolution has run, Host is chosen and its unique-name
+  /// counter sits at the pre-burn base. Loads and saves the decision
+  /// cache, re-registers everything, and merges every class.
   void rebuildSession(MergeServiceStats &Out);
   /// The Driver.Host election re-scored from the pristine archive
   /// (what a cold run scores after resolution); ties to the
@@ -330,30 +300,20 @@ private:
 
   std::unordered_map<const Function *, TrackedFunction> Tracked;
   std::map<Function *, unsigned> Baselines; ///< pipeline-shaped view
-  /// Retained per merge-compatibility class: the journal/records/stats
-  /// of its last pipeline run plus the exact members that run used (the
-  /// splice must replay against the pool *as of* that run).
+  /// Retained per merge-compatibility class: the clusters/journal/
+  /// records/stats of its last pipeline run plus the exact members that
+  /// run used (the splice must replay against the pool *as of* that run).
   ClassSlices Classes;
   std::unique_ptr<Module> Archive;
   /// Struck-out functions -> the epoch the ladder retired them.
   std::map<const Function *, unsigned> QuarantinedAt;
-  /// HashClustering session state (empty when the flag is off): consumed
-  /// members and the committed bodies in commit order.
-  std::map<Function *, ClusterMember> ClusterMembers;
-  std::vector<Function *> ClusterBodies;
 
   unsigned Epoch = 0;
   unsigned HostCounterBase = 0; ///< unique-name counter before splice burns
-  /// Host counter before even the cluster prologue's burns (==
-  /// HostCounterBase when HashClustering is off); full rebuilds restart
-  /// name allocation here.
-  unsigned PreClusterCounterBase = 0;
   unsigned FullRemergeCount = 0;
   unsigned HostReelectionCount = 0;
-  // Session-level warm-path counters, mirrored into Session.Driver each
-  // epoch (cold sessions set them once per run).
-  uint64_t SessionClusterCommits = 0;
-  uint64_t SessionClusterFaults = 0;
+  /// The last full build's CacheLoadRejected, mirrored into
+  /// Session.Driver each epoch (cold sessions set it once per run).
   uint64_t SessionCacheLoadRejected = 0;
   /// Warm cache exposed to the class pipelines, non-null only while
   /// rebuildSession runs a cache-backed full build.

@@ -15,6 +15,7 @@
 #include "transforms/Cloning.h"
 #include <cassert>
 #include <cstring>
+#include <map>
 #include <unordered_map>
 
 namespace salssa {
@@ -355,57 +356,50 @@ bool structurallyEqual(const Function &F1, const Function &F2) {
   return true;
 }
 
-std::unordered_set<const Function *> preClusterIdenticalFunctions(
-    const std::vector<Module *> &Modules, Module &Host, TargetArch Arch,
-    std::map<Function *, unsigned> &BaselineSize,
-    const FaultInjectionConfig *Faults, PreClusterStats &Out) {
-  std::unordered_set<const Function *> Pool;
-
-  // Hash every mergeable function in module registration order ×
-  // creation order; group by hash in first-seen order.
-  std::vector<std::pair<StructuralHash, std::vector<Function *>>> Groups;
+std::vector<PreClusterGroup>
+preClusterIdenticalFunctions(const std::vector<Function *> &Members,
+                             Module &Target, TargetArch Arch,
+                             const FaultInjectionConfig *Faults,
+                             uint64_t &FingerprintFaults) {
+  // Hash every member in the given order; group by hash in first-seen
+  // order.
+  std::vector<std::vector<Function *>> Groups;
   std::map<StructuralHash, size_t> GroupIdx;
-  for (Module *M : Modules)
-    for (Function *F : M->functions()) {
-      if (!F->isMergeable())
-        continue;
-      Pool.insert(F);
-      try {
-        if (Faults)
-          maybeInjectFault(*Faults, FaultKind::Fingerprint, F->getName());
-        StructuralHash Hash = computeStructuralHash(*F);
-        auto It = GroupIdx.find(Hash);
-        if (It == GroupIdx.end()) {
-          It = GroupIdx.emplace(Hash, Groups.size()).first;
-          Groups.emplace_back(Hash, std::vector<Function *>());
-        }
-        Groups[It->second].second.push_back(F);
-      } catch (const std::exception &) {
-        // A faulted fingerprint only costs this function its fast
-        // path: it stays in the pool for the ordinary pipeline.
-        ++Out.FingerprintFaults;
-      }
+  for (Function *F : Members) {
+    try {
+      if (Faults)
+        maybeInjectFault(*Faults, FaultKind::Fingerprint, F->getName());
+      auto It = GroupIdx.emplace(computeStructuralHash(*F), Groups.size());
+      if (It.second)
+        Groups.emplace_back();
+      Groups[It.first->second].push_back(F);
+    } catch (const std::exception &) {
+      // A faulted fingerprint only costs this function its fast path: it
+      // stays in the pool for the ordinary pipeline.
+      ++FingerprintFaults;
     }
+  }
 
-  Context &Ctx = Host.getContext();
+  std::vector<PreClusterGroup> Committed;
+  Context &Ctx = Target.getContext();
   bool X86 = Arch == TargetArch::X86Like;
-  for (auto &Group : Groups) {
+  for (const std::vector<Function *> &Group : Groups) {
     // The hash filter is confirmed exactly: greedily peel
     // structurally-equal sub-groups (hash-equal members referencing
     // distinct globals/callees end up in separate sub-groups; a
     // sub-group of one just stays in the pool).
-    std::vector<Function *> Rest = Group.second;
+    std::vector<Function *> Rest = Group;
     while (Rest.size() >= 2) {
       Function *Leader = Rest.front();
-      std::vector<Function *> Members{Leader}, Next;
+      std::vector<Function *> Peeled{Leader}, Next;
       for (size_t I = 1; I < Rest.size(); ++I) {
         if (structurallyEqual(*Leader, *Rest[I]))
-          Members.push_back(Rest[I]);
+          Peeled.push_back(Rest[I]);
         else
           Next.push_back(Rest[I]);
       }
       Rest = std::move(Next);
-      if (Members.size() < 2)
+      if (Peeled.size() < 2)
         continue;
 
       // Profitability: k bodies collapse to one plus k direct thunks
@@ -413,30 +407,24 @@ std::unordered_set<const Function *> preClusterIdenticalFunctions(
       unsigned BodySize = estimateFunctionSize(*Leader, Arch);
       unsigned PerThunk = (X86 ? 12u : 8u) + (X86 ? 5u : 4u) +
                           (X86 ? 1u : 2u) + 2 * Leader->getNumArgs();
-      uint64_t K = Members.size();
+      uint64_t K = Peeled.size();
       if ((K - 1) * uint64_t(BodySize) <= K * uint64_t(PerThunk))
         continue;
 
-      std::string Name = Host.makeUniqueName(Leader->getName() + ".m");
-      Function *MergedF = cloneFunctionInto(Leader, Host, Name, {}, {});
+      std::string Name = Target.makeUniqueName(Leader->getName() + ".m");
+      Function *MergedF = cloneFunctionInto(Leader, Target, Name, {}, {});
       // Same commit firewall as the pipeline: a clone that fails to
       // verify is erased and the whole group falls back to pairwise.
       if (!verifyFunction(*MergedF).ok()) {
-        Host.eraseFunction(MergedF);
+        Target.eraseFunction(MergedF);
         continue;
       }
-      for (Function *F : Members) {
-        Pool.erase(F);
+      for (Function *F : Peeled)
         buildDirectThunk(F, MergedF, Ctx);
-      }
-      BaselineSize[MergedF] = estimateFunctionSize(*MergedF, Arch);
-      Pool.insert(MergedF);
-      ++Out.ClusterCommits;
-      if (Out.Groups)
-        Out.Groups->push_back({MergedF, Members});
+      Committed.push_back({MergedF, std::move(Peeled), Group.front()});
     }
   }
-  return Pool;
+  return Committed;
 }
 
 } // namespace salssa

@@ -34,8 +34,6 @@
 
 #include "codesize/SizeModel.h"
 #include <cstdint>
-#include <map>
-#include <unordered_set>
 #include <vector>
 
 namespace salssa {
@@ -69,55 +67,44 @@ StructuralHash computeStructuralHash(const Function &F);
 /// types and Context-owned constants).
 bool structurallyEqual(const Function &F1, const Function &F2);
 
-/// One committed cluster: the merged body landed in the host plus the
-/// members whose bodies became direct thunks onto it. A long-lived
-/// session (merge/MergeService.h) keeps these to know which functions a
-/// later delta must restore from its archive before re-clustering.
+/// One committed cluster: the verbatim body plus the members whose bodies
+/// became direct thunks onto it.
 struct PreClusterGroup {
-  Function *Merged;               ///< the committed body (lives in Host)
-  std::vector<Function *> Members; ///< now direct thunks, in group order
+  Function *Merged = nullptr;      ///< the committed body (lives in Target)
+  std::vector<Function *> Members; ///< now direct thunks, leader first
+  /// The first function hashed into this group's hash bucket. Sub-groups
+  /// peeled from one bucket share it, and it need not be one of Members
+  /// (a bucket's first function that matched no other stays in the
+  /// pool). Sessions order the committed bodies of all their classes by
+  /// its position.
+  Function *FirstSeen = nullptr;
 };
 
-/// Counters reported by preClusterIdenticalFunctions.
-struct PreClusterStats {
-  uint64_t ClusterCommits = 0;    ///< groups committed (one merged body each)
-  uint64_t FingerprintFaults = 0; ///< functions skipped by a fired
-                                  ///< FaultKind::Fingerprint point
-  /// When non-null, one entry is appended per committed group, in
-  /// commit order.
-  std::vector<PreClusterGroup> *Groups = nullptr;
-};
-
-/// The pre-ranking fast path: hashes every mergeable function of
-/// \p Modules (module registration order × creation order), groups
-/// hash-identical ones, confirms each group with structurallyEqual, and
-/// commits every confirmed, profitable group as one merged body in
-/// \p Host — a verbatim clone of the group leader, firewalled through
-/// ir/Verifier — with each member's body replaced by a direct thunk
-/// (no fid dispatch: all members are identical, so the merged body needs
-/// no disambiguation). Profitability gate: (k-1)·size(leader) must
-/// exceed k·thunkBytes under \p Arch's size model.
-///
-/// Returns the pool include-set for the downstream pipeline: every
-/// mergeable function that was *not* consumed by a cluster, plus the
-/// freshly committed merged bodies (which may merge further). Committed
-/// bodies are entered into \p BaselineSize at their post-commit size,
-/// exactly like the pipeline's own remerge insertions.
+/// The exact-clone fast path: hashes \p Members (in the given order),
+/// groups hash-identical ones in first-seen order, confirms each group
+/// with structurallyEqual, and commits every confirmed, profitable group
+/// as one body in \p Target — a verbatim clone of the group leader named
+/// `<leader>.m.N`, firewalled through ir/Verifier — with each member's
+/// body replaced by a direct thunk (no fid dispatch: all members are
+/// identical, so the body needs no disambiguation). Profitability gate:
+/// (k-1)·size(leader) must exceed k·thunkBytes under \p Arch's size
+/// model. Returns the committed groups in commit order; every member of
+/// one is consumed, everything else is untouched.
 ///
 /// \p Faults, when non-null and armed, arms FaultKind::Fingerprint per
 /// function (keyed by name): a fired point skips that function's
-/// clustering — it stays in the returned pool untouched — and counts in
-/// PreClusterStats::FingerprintFaults. A fully faulted pre-cluster pass
-/// degrades to the ordinary pipeline, never to a wrong merge.
+/// clustering — it stays untouched — and counts in \p FingerprintFaults.
+/// A fully faulted pass commits nothing, never a wrong merge.
 ///
-/// Serial and deterministic: group order is first-seen order, name
-/// burning uses Host's unique-name counter exactly once per committed
-/// group. Sessions run this once, before any sharding, so the result is
-/// identical at every thread and shard count.
-std::unordered_set<const Function *> preClusterIdenticalFunctions(
-    const std::vector<Module *> &Modules, Module &Host, TargetArch Arch,
-    std::map<Function *, unsigned> &BaselineSize,
-    const FaultInjectionConfig *Faults, PreClusterStats &Out);
+/// Serial and deterministic: group order is first-seen order, and
+/// Target's unique-name counter advances exactly once per group that
+/// passed the profit gate. Sessions run it as the first stage of each
+/// class pipeline (merge/MergePipeline.h), over the class's members.
+std::vector<PreClusterGroup>
+preClusterIdenticalFunctions(const std::vector<Function *> &Members,
+                             Module &Target, TargetArch Arch,
+                             const FaultInjectionConfig *Faults,
+                             uint64_t &FingerprintFaults);
 
 } // namespace salssa
 

@@ -301,8 +301,6 @@ std::vector<uint8_t> Daemon::handleRegister(const WireRequestHeader &Req,
   // transparently to clients.
   if (!RM.HashClustering && Options.Defaults.Driver.HashClustering)
     RM.HashClustering = true;
-  if (!RM.ReelectHost && Options.Defaults.ReelectHost)
-    RM.ReelectHost = true;
   if (RM.QuarantineDecayEpochs == 0)
     RM.QuarantineDecayEpochs = Options.Defaults.QuarantineDecayEpochs;
   try {
@@ -321,7 +319,6 @@ std::vector<uint8_t> Daemon::handleRegister(const WireRequestHeader &Req,
     SO.Driver.Canonicalize = RM.Canonicalize;
     SO.Driver.DecisionCachePath = Options.Defaults.Driver.DecisionCachePath;
     SO.QuarantineDecayEpochs = RM.QuarantineDecayEpochs;
-    SO.ReelectHost = RM.ReelectHost;
     Svc = std::make_unique<MergeService>(SO);
     for (Module *M : Mods)
       Svc->addModule(*M);
@@ -597,7 +594,6 @@ void Daemon::refreshSnapshot(const MergeServiceStats &St) {
   S.HashClusterCommits = St.Session.Driver.HashClusterCommits;
   S.DegradedToFullRemerge = St.DegradedToFullRemerge;
   S.HostReelected = St.HostReelected;
-  S.ReclusteredFull = St.ReclusteredFull;
   std::string Prints;
   for (Module *M : Mods)
     Prints += printModule(*M);

@@ -66,7 +66,7 @@ struct DaemonOptions {
   /// stale) before bind and on shutdown.
   std::string SocketPath;
   /// Startup defaults merged into RegisterModules requests that leave
-  /// the warm-path knobs unset (false HashClustering/ReelectHost, zero
+  /// the warm-path knobs unset (false HashClustering, zero
   /// QuarantineDecayEpochs). Defaults.Driver.DecisionCachePath is the
   /// only decision cache a session ever uses — requests must not name
   /// one. This is how `salssad --decision-cache=...` makes a restarted

@@ -285,7 +285,6 @@ void RegisterModulesRequest::encode(ByteWriter &W) const {
   W.u8(Canonicalize ? 1 : 0);
   encodeString(W, DecisionCachePath);
   W.u32(QuarantineDecayEpochs);
-  W.u8(ReelectHost ? 1 : 0);
 }
 
 bool RegisterModulesRequest::decode(ByteReader &R) {
@@ -301,7 +300,7 @@ bool RegisterModulesRequest::decode(ByteReader &R) {
       !decodeString(R, DecisionCachePath))
     return false;
   QuarantineDecayEpochs = R.u32();
-  return decodeBool(R, ReelectHost) && R.ok();
+  return R.ok();
 }
 
 void CheckoutRequest::encode(ByteWriter &W) const {
@@ -435,7 +434,6 @@ void StatsSnapshot::encode(ByteWriter &W) const {
   W.u64(HashClusterCommits);
   W.u8(DegradedToFullRemerge ? 1 : 0);
   W.u8(HostReelected ? 1 : 0);
-  W.u8(ReclusteredFull ? 1 : 0);
   W.u64(ModuleDigest);
 }
 
@@ -453,7 +451,6 @@ bool StatsSnapshot::decode(ByteReader &R) {
   HashClusterCommits = R.u64();
   DegradedToFullRemerge = R.u8() != 0;
   HostReelected = R.u8() != 0;
-  ReclusteredFull = R.u8() != 0;
   ModuleDigest = R.u64();
   return R.ok();
 }

@@ -82,7 +82,7 @@ namespace salssa {
 
 /// "SLSD" as a little-endian u32.
 constexpr uint32_t ProtocolMagic = 0x44534C53u;
-constexpr uint32_t ProtocolVersion = 1;
+constexpr uint32_t ProtocolVersion = 2;
 /// Frames above this payload size are rejected before buffering
 /// (FrameError::Oversized) — a garbage length prefix must not make the
 /// reader allocate unbounded memory.
@@ -179,7 +179,7 @@ bool decodeString(ByteReader &R, std::string &S);
 /// RegisterModules: the deterministic session spec. The daemon builds
 /// `NumModules` modules from `Profile` (workloads/Suites.h), applies
 /// its own startup defaults for warm-path knobs the request leaves
-/// unset (false HashClustering/ReelectHost, zero QuarantineDecayEpochs)
+/// unset (false HashClustering, zero QuarantineDecayEpochs)
 /// and its own decision cache, and runs MergeService::initialize().
 /// Registering twice with the byte-identical body is idempotent; a
 /// different body fails with AlreadyRegistered.
@@ -194,12 +194,10 @@ struct RegisterModulesRequest {
   bool HashClustering = false;
   bool Canonicalize = false;
   /// Must be empty (validateRequest): the daemon reads and rewrites its
-  /// decision cache only at the path its operator configured. The field
-  /// stays on the wire so the body layout and ProtocolVersion do not
-  /// change.
+  /// decision cache only at the path its operator configured, and
+  /// refuses a request that names another.
   std::string DecisionCachePath;
   uint32_t QuarantineDecayEpochs = 0;
-  bool ReelectHost = false;
 
   void encode(ByteWriter &W) const;
   bool decode(ByteReader &R);
@@ -284,7 +282,6 @@ struct StatsSnapshot {
   uint64_t HashClusterCommits = 0;
   bool DegradedToFullRemerge = false;
   bool HostReelected = false;
-  bool ReclusteredFull = false;
   /// fnv1a64 over the concatenated printModule() text of every
   /// registered module, in registration order.
   uint64_t ModuleDigest = 0;

@@ -33,7 +33,10 @@
 #include "support/RNG.h"
 #include "workloads/EditScript.h"
 #include "workloads/Suites.h"
+#include <cstdio>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <thread>
 
 using namespace salssa;
@@ -126,6 +129,7 @@ struct Outcome {
   unsigned Attempts = 0;
   unsigned CommittedMerges = 0;
   unsigned CrossModuleMerges = 0;
+  uint64_t HashClusterCommits = 0;
   uint64_t SizeBefore = 0;
   uint64_t SizeAfter = 0;
   /// Pairing distance calls + probes. Not part of expectSameOutcome
@@ -144,6 +148,7 @@ Outcome outcomeOf(const std::vector<Module *> &Mods,
   O.PairingWork = S.Driver.PairingDistanceCalls + S.Driver.PairingProbes;
   O.CommittedMerges = S.Driver.CommittedMerges;
   O.CrossModuleMerges = S.CrossModuleMerges;
+  O.HashClusterCommits = S.Driver.HashClusterCommits;
   O.SizeBefore = S.SizeBefore;
   O.SizeAfter = S.SizeAfter;
   for (const MergeRecord &R : S.Driver.Records)
@@ -161,6 +166,7 @@ void expectSameOutcome(const Outcome &Got, const Outcome &Want,
   EXPECT_TRUE(Got.VerifierOk) << Tag;
   EXPECT_EQ(Got.CommittedMerges, Want.CommittedMerges) << Tag;
   EXPECT_EQ(Got.CrossModuleMerges, Want.CrossModuleMerges) << Tag;
+  EXPECT_EQ(Got.HashClusterCommits, Want.HashClusterCommits) << Tag;
   EXPECT_EQ(Got.Attempts, Want.Attempts) << Tag;
   EXPECT_EQ(Got.SizeBefore, Want.SizeBefore) << Tag;
   EXPECT_EQ(Got.SizeAfter, Want.SizeAfter) << Tag;
@@ -612,14 +618,17 @@ BenchmarkProfile clusterProfile() {
 }
 
 /// Cold baseline over an arbitrary profile (coldOutcome fixes the
-/// default group).
+/// default group), with \p Extra applied after the script steps.
 Outcome coldOutcomeFor(const BenchmarkProfile &P, const EditScript &Script,
-                       unsigned NumSteps, MergeDriverOptions DO) {
+                       unsigned NumSteps, MergeDriverOptions DO,
+                       const EditStepSpec *Extra = nullptr) {
   Context Ctx;
   ModuleGroup Group = buildBenchmarkModuleGroup(P, Ctx, 2);
   std::vector<Module *> Mods = modsOf(Group);
   for (unsigned S = 0; S < NumSteps; ++S)
     applyStepPlain(Script, Mods, S);
+  if (Extra)
+    applyEditStep(Mods, *Extra);
   DO.ShardCount = 1;
   CrossModuleMerger Session(DO);
   for (Module *M : Mods)
@@ -628,11 +637,36 @@ Outcome coldOutcomeFor(const BenchmarkProfile &P, const EditScript &Script,
   return outcomeOf(Mods, S);
 }
 
-TEST(MergeServiceTest, HashClusteringDeltasRebuildToTheColdState) {
-  // Every delta under HashClustering is a whole-session rebuild (the
-  // smallest edit can re-form any group); the contract is the cold
-  // clustered run's bytes, records and counters after every step —
-  // including checkouts and deletes of consumed cluster members.
+/// The cluster bodies of a merged group, by class: the callees of direct
+/// thunks (one block, call + ret, the callee's own signature — a merged
+/// function's thunks pass an extra function id).
+std::map<Type *, std::set<const Function *>>
+clusterBodiesOf(const std::vector<Module *> &Mods) {
+  std::map<Type *, std::set<const Function *>> Bodies;
+  for (Module *M : Mods)
+    for (Function *F : M->functions()) {
+      if (F->getNumBlocks() != 1 || (*F->blocks().begin())->size() != 2)
+        continue;
+      auto *Call = dyn_cast<CallInst>(*(*F->blocks().begin())->begin());
+      if (Call && Call->getCallee()->getFunctionType() == F->getFunctionType())
+        Bodies[F->getReturnType()].insert(Call->getCallee());
+    }
+  return Bodies;
+}
+
+std::string fileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+TEST(MergeServiceTest, HashClusteringDeltasStayLocalAndCold) {
+  // Exact-clone clustering runs inside each class pipeline, so a
+  // clustering delta is an ordinary localized epoch. The contract is the
+  // cold clustered run's bytes, records and cluster commits after every
+  // step — including checkouts and deletes of consumed cluster members —
+  // and locality: a one-function edit re-runs its class alone and leaves
+  // every other class's cluster bodies in place. The decision cache is
+  // read and written by initialize() only, so no delta rewrites it.
   BenchmarkProfile P = clusterProfile();
   EditScript Script = [&] {
     Context Ctx;
@@ -644,6 +678,10 @@ TEST(MergeServiceTest, HashClusteringDeltasRebuildToTheColdState) {
         driverOptions(SelectionStrategy::Distance, NT, NT == 1 ? 1u : 4u);
     DO.HashClustering = true;
     std::string Cfg = "clustered threads=" + std::to_string(NT);
+    const std::string CachePath = ::testing::TempDir() +
+                                  "salssa_svc_cluster" + std::to_string(NT) +
+                                  ".bin";
+    std::remove(CachePath.c_str());
 
     Context SvcCtx, RefCtx;
     ModuleGroup SvcGroup = buildBenchmarkModuleGroup(P, SvcCtx, 2);
@@ -653,6 +691,7 @@ TEST(MergeServiceTest, HashClusteringDeltasRebuildToTheColdState) {
 
     MergeServiceOptions SO;
     SO.Driver = DO;
+    SO.Driver.DecisionCachePath = CachePath;
     MergeService Svc(SO);
     for (Module *M : SvcMods)
       Svc.addModule(*M);
@@ -662,19 +701,69 @@ TEST(MergeServiceTest, HashClusteringDeltasRebuildToTheColdState) {
     expectSameOutcome(outcomeOf(SvcMods, Init.Session),
                       coldOutcomeFor(P, Script, 0, DO), Cfg + " epoch 0");
     groupDifferential(RefMods, SvcMods, 81, Cfg + " epoch 0");
+    const std::string CacheAfterInit = fileBytes(CachePath);
+    ASSERT_FALSE(CacheAfterInit.empty()) << Cfg;
 
     for (unsigned S = 0; S < Script.numSteps(); ++S) {
       MergeServiceStats St = applyStepService(Svc, Script, SvcMods, S);
       applyStepPlain(Script, RefMods, S);
       std::string Tag = Cfg + " epoch " + std::to_string(S + 1);
-      EXPECT_TRUE(St.ReclusteredFull) << Tag;
       EXPECT_FALSE(St.DegradedToFullRemerge) << Tag;
-      EXPECT_EQ(St.DirtyClasses, St.TotalClasses) << Tag;
+      EXPECT_EQ(St.Session.Driver.CacheHits, 0u) << Tag;
       groupDifferential(RefMods, SvcMods, 81 + S, Tag);
       expectSameOutcome(outcomeOf(SvcMods, St.Session),
                         coldOutcomeFor(P, Script, S + 1, DO), Tag);
     }
+
+    // One changed function, in a class other than one that keeps
+    // cluster bodies.
+    std::map<Type *, std::set<const Function *>> Before =
+        clusterBodiesOf(SvcMods);
+    EditStepSpec One;
+    for (unsigned Mi = 0; Mi < SvcMods.size() && One.Changes.empty(); ++Mi)
+      for (Function *F : SvcMods[Mi]->functions()) {
+        bool Original = !F->isDeclaration() &&
+                        RefMods[Mi]->getFunction(F->getName()) != nullptr;
+        bool OtherClassClustered = std::any_of(
+            Before.begin(), Before.end(), [F](const auto &KV) {
+              return KV.first != F->getReturnType();
+            });
+        if (Original && OtherClassClustered) {
+          One.Changes.push_back({EditOp::Change, Mi, F->getName(), 0x0e0e});
+          break;
+        }
+      }
+    ASSERT_EQ(One.Changes.size(), 1u) << Cfg;
+    std::string Tag = Cfg + " one-function edit";
+    MergeService::DeltaBatch Batch = Svc.beginDelta();
+    AppliedEditStep A = applyEditStep(
+        SvcMods, One, [&](Function *F) { Batch.checkoutForEdit(F); });
+    ASSERT_EQ(A.Changed.size(), 1u) << Tag;
+    Type *Edited = A.Changed.front()->getReturnType();
+    MergeDelta D;
+    D.Changed = A.Changed;
+    MergeServiceStats St = Batch.apply(D);
+    applyEditStep(RefMods, One);
+    EXPECT_FALSE(St.DegradedToFullRemerge) << Tag;
+    EXPECT_EQ(St.DirtyClasses, 1u) << Tag;
+    EXPECT_LT(St.DirtyClasses, St.TotalClasses) << Tag;
+    std::map<Type *, std::set<const Function *>> After =
+        clusterBodiesOf(SvcMods);
+    for (const auto &KV : Before) {
+      if (KV.first != Edited) {
+        EXPECT_EQ(After[KV.first], KV.second)
+            << Tag << ": a clean class's cluster bodies were rebuilt";
+      }
+    }
+    groupDifferential(RefMods, SvcMods, 97, Tag);
+    expectSameOutcome(
+        outcomeOf(SvcMods, St.Session),
+        coldOutcomeFor(P, Script, Script.numSteps(), DO, &One), Tag);
+
     EXPECT_EQ(Svc.fullRemerges(), 0u) << Cfg;
+    EXPECT_EQ(fileBytes(CachePath), CacheAfterInit)
+        << Cfg << ": a delta rewrote the decision cache";
+    std::remove(CachePath.c_str());
   }
 }
 
@@ -745,26 +834,12 @@ TEST(MergeServiceTest, DecisionCacheWarmStartReplaysByteIdentical) {
 }
 
 TEST(MergeServiceTest, BiggestHostReelectionMovesWithTheScoreLeader) {
-  // Grow the non-host module until it outweighs the host: the next
-  // delta must re-elect, rebuild on the new host, and land on the bytes
-  // a cold Biggest run over the same pool produces.
-  MergeDriverOptions DO = driverOptions(SelectionStrategy::Distance, 1, 1);
-  DO.Host = HostPolicy::Biggest;
-  MergeServiceOptions SO;
-  SO.Driver = DO;
-  SO.ReelectHost = true;
-
-  Context Ctx;
-  ModuleGroup Group = buildGroup(Ctx);
-  std::vector<Module *> Mods = modsOf(Group);
-  MergeService Svc(SO);
-  for (Module *M : Mods)
-    Svc.addModule(*M);
-  Svc.initialize();
-  const Module *H0 = Svc.hostModule();
-  size_t OtherIdx = (Mods[0] == H0) ? 1 : 0;
-  Module *Other = Mods[OtherIdx];
-
+  // Grow the non-host module until it outweighs the host: on default
+  // service options the next delta must re-elect and land on the bytes a
+  // cold Biggest run over the same pool produces. A healthy delta re-runs
+  // every class in place on the new host — a localized epoch, not a full
+  // re-merge. A delta whose planning faults degrades, and the degraded
+  // rebuild elects the same way.
   RandomFunctionOptions Grow;
   Grow.TargetSize = 200;
   Grow.RetTypeVariety = 3;
@@ -777,41 +852,69 @@ TEST(MergeServiceTest, BiggestHostReelectionMovesWithTheScoreLeader) {
           Env, Rng, Prefix + std::to_string(I), Grow));
     return Added;
   };
+  for (bool Degrade : {false, true}) {
+    const std::string Leg = Degrade ? "degraded" : "localized";
+    MergeDriverOptions DO = driverOptions(SelectionStrategy::Distance, 1, 1);
+    DO.Host = HostPolicy::Biggest;
+    MergeServiceOptions SO;
+    SO.Driver = DO;
+    // Only the service fires the symbol-resolution fault point, so the
+    // pipelines — and the cold baseline — stay unfaulted.
+    if (Degrade)
+      SO.Driver.Faults = FaultInjectionConfig::parse("seed=7,symres=1000");
 
-  MergeService::DeltaBatch Batch = Svc.beginDelta();
-  MergeDelta D;
-  D.Added = growModule(*Other, "grow");
-  MergeServiceStats St = Batch.apply(D);
-  EXPECT_TRUE(St.HostReelected);
-  EXPECT_FALSE(St.DegradedToFullRemerge);
-  EXPECT_EQ(Svc.hostModule(), Other);
-  EXPECT_EQ(Svc.hostReelections(), 1u);
+    Context Ctx;
+    ModuleGroup Group = buildGroup(Ctx);
+    std::vector<Module *> Mods = modsOf(Group);
+    MergeService Svc(SO);
+    for (Module *M : Mods)
+      Svc.addModule(*M);
+    Svc.initialize();
+    const Module *H0 = Svc.hostModule();
+    size_t OtherIdx = (Mods[0] == H0) ? 1 : 0;
+    Module *Other = Mods[OtherIdx];
 
-  // Cold baseline: fresh copy, the same functions grown into the same
-  // module, one from-scratch Biggest run.
-  Context ColdCtx;
-  ModuleGroup ColdGroup = buildGroup(ColdCtx);
-  std::vector<Module *> ColdMods = modsOf(ColdGroup);
-  growModule(*ColdMods[OtherIdx], "grow");
-  CrossModuleMerger Cold(DO);
-  for (Module *M : ColdMods)
-    Cold.addModule(*M);
-  CrossModuleStats ColdStats = Cold.run();
-  expectSameOutcome(outcomeOf(Mods, St.Session),
-                    outcomeOf(ColdMods, ColdStats), "re-elected host");
+    MergeService::DeltaBatch Batch = Svc.beginDelta();
+    MergeDelta D;
+    D.Added = growModule(*Other, "grow");
+    MergeServiceStats St = Batch.apply(D);
+    EXPECT_TRUE(St.HostReelected) << Leg;
+    EXPECT_EQ(St.DegradedToFullRemerge, Degrade) << Leg;
+    EXPECT_EQ(Svc.fullRemerges(), Degrade ? 1u : 0u) << Leg;
+    EXPECT_EQ(St.DirtyClasses, St.TotalClasses) << Leg;
+    EXPECT_EQ(Svc.hostModule(), Other) << Leg;
+    EXPECT_EQ(Svc.hostReelections(), 1u) << Leg;
 
-  // A quiet delta keeps the leader: no move, no rebuild.
-  MergeService::DeltaBatch Batch2 = Svc.beginDelta();
-  MergeServiceStats St2 = Batch2.apply(MergeDelta());
-  EXPECT_FALSE(St2.HostReelected);
-  EXPECT_EQ(Svc.hostReelections(), 1u);
-  EXPECT_EQ(Svc.hostModule(), Other);
+    // Cold baseline: fresh copy, the same functions grown into the same
+    // module, one from-scratch Biggest run.
+    Context ColdCtx;
+    ModuleGroup ColdGroup = buildGroup(ColdCtx);
+    std::vector<Module *> ColdMods = modsOf(ColdGroup);
+    growModule(*ColdMods[OtherIdx], "grow");
+    CrossModuleMerger Cold(DO);
+    for (Module *M : ColdMods)
+      Cold.addModule(*M);
+    CrossModuleStats ColdStats = Cold.run();
+    expectSameOutcome(outcomeOf(Mods, St.Session),
+                      outcomeOf(ColdMods, ColdStats), Leg + " re-election");
+    if (Degrade)
+      continue;
+
+    // A quiet delta keeps the leader: no move, no class re-runs.
+    MergeService::DeltaBatch Batch2 = Svc.beginDelta();
+    MergeServiceStats St2 = Batch2.apply(MergeDelta());
+    EXPECT_FALSE(St2.HostReelected);
+    EXPECT_EQ(St2.DirtyClasses, 0u);
+    EXPECT_EQ(Svc.hostReelections(), 1u);
+    EXPECT_EQ(Svc.hostModule(), Other);
+  }
 }
 
 TEST(MergeServiceTest, HottestReelectionStaysColdEquivalentOverAScript) {
-  // The Hottest policy re-scores from the pristine archive every delta;
-  // whether or not the leader moves, each epoch must equal the cold
-  // Hottest run over the same pool.
+  // On default service options the Hottest policy re-scores from the
+  // pristine archive every delta; whether or not the leader moves, each
+  // epoch must equal the cold Hottest run over the same pool, and a move
+  // re-runs every class in place.
   EditScript Script = [] {
     Context Ctx;
     ModuleGroup Group = buildGroup(Ctx);
@@ -821,7 +924,6 @@ TEST(MergeServiceTest, HottestReelectionStaysColdEquivalentOverAScript) {
   DO.Host = HostPolicy::Hottest;
   MergeServiceOptions SO;
   SO.Driver = DO;
-  SO.ReelectHost = true;
 
   Context Ctx;
   ModuleGroup Group = buildGroup(Ctx);
@@ -833,10 +935,14 @@ TEST(MergeServiceTest, HottestReelectionStaysColdEquivalentOverAScript) {
   for (unsigned S = 0; S < 2; ++S) {
     MergeServiceStats St = applyStepService(Svc, Script, Mods, S);
     EXPECT_FALSE(St.DegradedToFullRemerge) << "step " << S;
+    if (St.HostReelected) {
+      EXPECT_EQ(St.DirtyClasses, St.TotalClasses) << "step " << S;
+    }
     expectSameOutcome(outcomeOf(Mods, St.Session),
                       coldOutcome(Script, S + 1, DO),
                       "hottest step " + std::to_string(S));
   }
+  EXPECT_EQ(Svc.fullRemerges(), 0u);
 }
 
 } // namespace

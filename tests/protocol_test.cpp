@@ -182,7 +182,6 @@ RegisterModulesRequest sampleRegister() {
   RM.Canonicalize = true;
   RM.DecisionCachePath = "/tmp/dc.bin";
   RM.QuarantineDecayEpochs = 7;
-  RM.ReelectHost = true;
   return RM;
 }
 
@@ -207,7 +206,6 @@ TEST(Payloads, RegisterModulesRoundTrips) {
   EXPECT_EQ(Back.Canonicalize, RM.Canonicalize);
   EXPECT_EQ(Back.DecisionCachePath, RM.DecisionCachePath);
   EXPECT_EQ(Back.QuarantineDecayEpochs, RM.QuarantineDecayEpochs);
-  EXPECT_EQ(Back.ReelectHost, RM.ReelectHost);
 }
 
 TEST(Payloads, RegisterModulesEncodingIsDeterministic) {
@@ -289,7 +287,6 @@ TEST(Payloads, StatsAndCountersRoundTrip) {
   S.CacheHits = 8;
   S.HashClusterCommits = 9;
   S.DegradedToFullRemerge = true;
-  S.ReclusteredFull = true;
   S.ModuleDigest = 0x123456789abcdef0ULL;
   DaemonCounters C;
   C.Connections = 11;
@@ -315,7 +312,6 @@ TEST(Payloads, StatsAndCountersRoundTrip) {
   EXPECT_EQ(Back.Stats.Attempts, S.Attempts);
   EXPECT_EQ(Back.Stats.ModuleDigest, S.ModuleDigest);
   EXPECT_EQ(Back.Stats.DegradedToFullRemerge, S.DegradedToFullRemerge);
-  EXPECT_EQ(Back.Stats.ReclusteredFull, S.ReclusteredFull);
   EXPECT_FALSE(Back.Stats.HostReelected);
   EXPECT_EQ(Back.Daemon.ProtocolFaultsInjected, C.ProtocolFaultsInjected);
   EXPECT_EQ(Back.Daemon.HealedBatches, C.HealedBatches);

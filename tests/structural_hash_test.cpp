@@ -11,8 +11,9 @@
 //     globals must be pointer-identical, so a hash collision across
 //     same-named-but-distinct symbols can never cluster.
 //  3. preClusterIdenticalFunctions commits each confirmed, profitable
-//     group as one verbatim body + direct thunks, returns the surviving
-//     pool, and degrades to the plain pipeline under Fingerprint faults.
+//     group as one verbatim body + direct thunks, returns the committed
+//     groups, and degrades to the plain pipeline under Fingerprint
+//     faults.
 //  4. End to end, HashClustering cuts pairing work on a clone-heavy
 //     workload without losing reduction, stays deterministic at every
 //     thread and shard count, and leaves the default pipeline untouched.
@@ -152,31 +153,32 @@ TEST(StructuralHashTest, EqualityIsStrictWhereTheHashIsLenient) {
 //===----------------------------------------------------------------------===//
 
 TEST(PreClusterTest, CommitsOneBodyAndDirectThunks) {
+  // The body lands in its own target module, the way a class pipeline
+  // clusters into its scratch module; the thunks stay where they are.
   Context Ctx;
-  Module M("m", Ctx);
+  Module M("m", Ctx), Target("target", Ctx);
   Function *K1 = buildDiamond(M, "k1", 5);
   Function *K2 = buildDiamond(M, "k2", 5, "other");
-  Function *K3 = buildDiamond(M, "k3", 5, "names");
   Function *Lone = buildDiamond(M, "lone", 17);
-  std::map<Function *, unsigned> Baseline;
-  for (Function *F : M.functions())
-    Baseline[F] = estimateFunctionSize(*F, TargetArch::X86Like);
+  Function *K3 = buildDiamond(M, "k3", 5, "names");
 
-  PreClusterStats S;
-  std::vector<Module *> Mods{&M};
-  auto Pool = preClusterIdenticalFunctions(Mods, M, TargetArch::X86Like,
-                                           Baseline, nullptr, S);
-  EXPECT_EQ(S.ClusterCommits, 1u);
-  EXPECT_EQ(S.FingerprintFaults, 0u);
+  uint64_t Faults = 0;
+  std::vector<PreClusterGroup> Groups = preClusterIdenticalFunctions(
+      {K1, K2, Lone, K3}, Target, TargetArch::X86Like, nullptr, Faults);
+  EXPECT_EQ(Faults, 0u);
+  ASSERT_EQ(Groups.size(), 1u);
+  const PreClusterGroup &G = Groups.front();
+  EXPECT_EQ(G.Members, (std::vector<Function *>{K1, K2, K3}));
+  EXPECT_EQ(G.FirstSeen, K1);
 
   // The merged body is a verbatim clone of the leader under "k1.m.N".
-  Function *Merged = nullptr;
-  for (Function *F : M.functions())
-    if (F->getName().rfind("k1.m.", 0) == 0)
-      Merged = F;
+  Function *Merged = G.Merged;
   ASSERT_NE(Merged, nullptr);
+  EXPECT_EQ(Merged->getParent(), &Target);
+  EXPECT_EQ(Merged->getName().rfind("k1.m.", 0), 0u) << Merged->getName();
   EXPECT_TRUE(verifyModule(M).ok());
-  EXPECT_TRUE(structurallyEqual(*Merged, *buildDiamond(M, "ref", 5, "r")));
+  EXPECT_TRUE(verifyModule(Target).ok());
+  EXPECT_TRUE(structurallyEqual(*Merged, *buildDiamond(Target, "ref", 5, "r")));
 
   // Members became two-instruction direct thunks into the merged body.
   for (Function *F : {K1, K2, K3}) {
@@ -185,15 +187,9 @@ TEST(PreClusterTest, CommitsOneBodyAndDirectThunks) {
     ASSERT_EQ(BB->size(), 2u) << F->getName();
     auto *Call = cast<CallInst>(*BB->begin());
     EXPECT_EQ(Call->getCallee(), Merged) << F->getName();
-    EXPECT_FALSE(Pool.count(F)) << F->getName() << " must leave the pool";
   }
-  // The merged body and the non-member survive in the pool, with the
-  // body's baseline registered at its post-commit size.
-  EXPECT_TRUE(Pool.count(Merged));
-  EXPECT_TRUE(Pool.count(Lone));
-  ASSERT_TRUE(Baseline.count(Merged));
-  EXPECT_EQ(Baseline[Merged],
-            estimateFunctionSize(*Merged, TargetArch::X86Like));
+  // The non-member keeps its body.
+  EXPECT_TRUE(structurallyEqual(*Lone, *buildDiamond(M, "ref17", 17, "q")));
 }
 
 TEST(PreClusterTest, ProfitGateSkipsTinyGroups) {
@@ -202,43 +198,39 @@ TEST(PreClusterTest, ProfitGateSkipsTinyGroups) {
   Context Ctx;
   Module M("m", Ctx);
   Type *I32 = Ctx.int32Ty();
+  std::vector<Function *> Members;
   for (const char *Name : {"t1", "t2", "t3"}) {
     Function *F =
         M.createFunction(Name, Ctx.types().getFunctionTy(I32, {I32}));
     IRBuilder B(Ctx, F->createBlock("entry"));
     B.createRet(B.createAdd(F->getArg(0), Ctx.getInt32(1)));
+    Members.push_back(F);
   }
-  std::map<Function *, unsigned> Baseline;
-  PreClusterStats S;
-  std::vector<Module *> Mods{&M};
+  uint64_t Faults = 0;
   std::string Before = printModule(M);
-  auto Pool = preClusterIdenticalFunctions(Mods, M, TargetArch::X86Like,
-                                           Baseline, nullptr, S);
-  EXPECT_EQ(S.ClusterCommits, 0u);
-  EXPECT_EQ(Pool.size(), 3u);
+  EXPECT_TRUE(preClusterIdenticalFunctions(Members, M, TargetArch::X86Like,
+                                           nullptr, Faults)
+                  .empty());
   EXPECT_EQ(printModule(M), Before);
 }
 
 TEST(PreClusterTest, FingerprintFaultsDegradeToThePlainPool) {
   Context Ctx;
   Module M("m", Ctx);
-  buildDiamond(M, "k1", 5);
-  buildDiamond(M, "k2", 5, "other");
-  buildDiamond(M, "k3", 5, "names");
+  std::vector<Function *> Members{buildDiamond(M, "k1", 5),
+                                  buildDiamond(M, "k2", 5, "other"),
+                                  buildDiamond(M, "k3", 5, "names")};
   FaultInjectionConfig Faults = FaultInjectionConfig::parse(
       "seed=3,fingerprint=1000");
   ASSERT_TRUE(Faults.armed());
-  std::map<Function *, unsigned> Baseline;
-  PreClusterStats S;
-  std::vector<Module *> Mods{&M};
+  uint64_t Fired = 0;
   std::string Before = printModule(M);
-  auto Pool = preClusterIdenticalFunctions(Mods, M, TargetArch::X86Like,
-                                           Baseline, &Faults, S);
   // Every fingerprint faulted: no clustering, nothing mutated, every
-  // function stays in the pool for the ordinary pipeline.
-  EXPECT_EQ(S.ClusterCommits, 0u);
-  EXPECT_EQ(S.FingerprintFaults, 3u);
-  EXPECT_EQ(Pool.size(), 3u);
+  // function left for the ordinary pipeline.
+  EXPECT_TRUE(preClusterIdenticalFunctions(Members, M, TargetArch::X86Like,
+                                           &Faults, Fired)
+                  .empty());
+  EXPECT_EQ(Fired, 3u);
   EXPECT_EQ(printModule(M), Before);
 }
 

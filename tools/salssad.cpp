@@ -14,7 +14,6 @@
 //   salssad --socket=/tmp/salssad.sock \
 //           [--decision-cache=PATH]    # warm-restart cache file
 //           [--hash-clustering]        # exact-clone pre-clustering
-//           [--reelect-host]           # re-run host election per delta
 //           [--quarantine-decay=N]     # strike decay, in epochs
 //           [--token-cache=N]          # ApplyDelta idempotency window
 //           [--faults=SPEC]            # SALSSA_FAULTS-style injection
@@ -44,7 +43,7 @@ bool flagValue(const char *Arg, const char *Name, std::string &Out) {
 int usage() {
   std::fprintf(stderr,
                "usage: salssad --socket=PATH [--decision-cache=PATH] "
-               "[--hash-clustering] [--reelect-host] "
+               "[--hash-clustering] "
                "[--quarantine-decay=N] [--token-cache=N] [--faults=SPEC]\n");
   return 2;
 }
@@ -62,8 +61,6 @@ int main(int Argc, char **Argv) {
       Opts.Defaults.Driver.DecisionCachePath = Value;
     } else if (std::strcmp(Arg, "--hash-clustering") == 0) {
       Opts.Defaults.Driver.HashClustering = true;
-    } else if (std::strcmp(Arg, "--reelect-host") == 0) {
-      Opts.Defaults.ReelectHost = true;
     } else if (flagValue(Arg, "--quarantine-decay", Value)) {
       Opts.Defaults.QuarantineDecayEpochs =
           static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
