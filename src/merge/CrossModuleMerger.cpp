@@ -9,7 +9,6 @@
 #include "ir/Instruction.h"
 #include "ir/Module.h"
 #include "ir/SymbolResolution.h"
-#include "merge/DecisionCache.h"
 #include "merge/MergePipeline.h"
 #include "support/Chrono.h"
 #include "transforms/Canonicalize.h"
@@ -27,6 +26,17 @@ using namespace salssa;
 
 Module *salssa::selectHostModule(const std::vector<Module *> &Modules,
                                  HostPolicy Policy, TargetArch Arch) {
+  std::vector<std::pair<const Function *, uint32_t>> Functions;
+  for (uint32_t I = 0; I < Modules.size(); ++I)
+    for (const Function *F : Modules[I]->functions())
+      Functions.emplace_back(F, I);
+  return selectHostModule(Modules, Functions, Policy, Arch);
+}
+
+Module *salssa::selectHostModule(
+    const std::vector<Module *> &Modules,
+    const std::vector<std::pair<const Function *, uint32_t>> &Functions,
+    HostPolicy Policy, TargetArch Arch) {
   if (Modules.empty())
     return nullptr;
   if (Policy == HostPolicy::First || Modules.size() == 1)
@@ -34,11 +44,12 @@ Module *salssa::selectHostModule(const std::vector<Module *> &Modules,
 
   std::vector<uint64_t> Score(Modules.size(), 0);
   if (Policy == HostPolicy::Biggest) {
-    for (size_t I = 0; I < Modules.size(); ++I)
-      Score[I] = estimateModuleSize(*Modules[I], Arch);
+    // estimateModuleSize per module (a declaration's size is 0).
+    for (const auto &[F, ModuleIdx] : Functions)
+      Score[ModuleIdx] += estimateFunctionSize(*F, Arch);
   } else { // HostPolicy::Hottest
-    // Call-site in-degree of each module's definitions, counted over the
-    // whole registered set. Sessions resolve the policy AFTER linker-style
+    // Call-site in-degree of each module's definitions, counted over
+    // every scored body. Sessions resolve the policy AFTER linker-style
     // symbol resolution, so cross-TU calls — retargeted from per-module
     // extern declarations onto their canonical definitions — count toward
     // the definition's module. Callees still left as declarations host no
@@ -46,17 +57,16 @@ Module *salssa::selectHostModule(const std::vector<Module *> &Modules,
     std::unordered_map<const Module *, size_t> Rank;
     for (size_t I = 0; I < Modules.size(); ++I)
       Rank[Modules[I]] = I;
-    for (Module *M : Modules)
-      for (Function *F : M->functions())
-        for (BasicBlock *BB : *F)
-          for (Instruction *I : *BB) {
-            auto *CB = dyn_cast<CallBase>(I);
-            if (!CB || !CB->getCallee() || CB->getCallee()->isDeclaration())
-              continue;
-            auto It = Rank.find(CB->getCallee()->getParent());
-            if (It != Rank.end())
-              ++Score[It->second];
-          }
+    for (const auto &FM : Functions)
+      for (const BasicBlock *BB : *FM.first)
+        for (const Instruction *I : *BB) {
+          auto *CB = dyn_cast<CallBase>(I);
+          if (!CB || !CB->getCallee() || CB->getCallee()->isDeclaration())
+            continue;
+          auto It = Rank.find(CB->getCallee()->getParent());
+          if (It != Rank.end())
+            ++Score[It->second];
+        }
   }
   // Max score, ties to the earlier-registered module.
   size_t BestIdx = 0;
@@ -132,29 +142,6 @@ CrossModuleStats CrossModuleMerger::run() {
         if (!F->isDeclaration())
           demoteRegistersToMemory(*F, Ctx);
 
-  // Session-level fault resolution, mirroring the pipeline's own: the
-  // cache I/O sits outside any pipeline, so it resolves the SALSSA_FAULTS
-  // fallback itself.
-  FaultInjectionConfig SessionFaults = Options.Faults.armed()
-                                           ? Options.Faults
-                                           : FaultInjectionConfig::fromEnv();
-  const FaultInjectionConfig *SessionFaultsPtr =
-      SessionFaults.armed() ? &SessionFaults : nullptr;
-
-  // Persistent decision cache, shared by every class pipeline: loaded
-  // (and self-invalidated on damage or an options/version mismatch) once,
-  // read-only while the pipelines run, appended to from their
-  // serial-commit recordings after.
-  DecisionCache Cache;
-  const bool UseCache = !Options.DecisionCachePath.empty();
-  uint64_t OptionsFP = 0;
-  if (UseCache) {
-    OptionsFP = DecisionCache::optionsFingerprint(Options);
-    if (Cache.load(Options.DecisionCachePath, OptionsFP, SessionFaultsPtr) ==
-        DecisionCache::LoadOutcome::Rejected)
-      ++Stats.Driver.CacheLoadRejected;
-  }
-
   // Fingerprint the pool once (post FMSA demotion) and sort it into its
   // merge-compatibility classes.
   std::deque<Fingerprint> FPs; // stable addresses for the view
@@ -171,16 +158,10 @@ CrossModuleStats CrossModuleMerger::run() {
       All.insert(F->getReturnType());
     }
 
-  // Every class, one pipeline each, spliced into the host.
+  // Every class, one pipeline each, spliced into the host; the runner
+  // loads and saves the decision cache around them.
   runClassPipelines(Modules, *Host, Options, BaselineSize, FPView,
-                    UseCache ? &Cache : nullptr, Classes, All, Stats.Driver);
-
-  // Persist the cache, serialized sorted by key, so the file bytes are
-  // identical at every class schedule and thread count. A failed write
-  // (I/O error or injected CacheIO fault) means "no cache for the next
-  // run", never a failed session.
-  if (UseCache)
-    Cache.save(Options.DecisionCachePath, OptionsFP, SessionFaultsPtr);
+                    /*UseCache=*/true, Classes, All, Stats.Driver);
 
   // FMSA post-pass, in every module: the late pipeline re-promotes what
   // demotion left behind in unmerged functions (usually restoring them,

@@ -95,9 +95,13 @@
 #define SALSSA_MERGE_CROSSMODULEMERGER_H
 
 #include "merge/MergeDriver.h"
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace salssa {
 
+class Function;
 class Module;
 
 /// Aggregate results of one cross-module session.
@@ -176,6 +180,17 @@ private:
 /// earlier-registered module. Returns null for an empty set.
 Module *selectHostModule(const std::vector<Module *> &Modules,
                          HostPolicy Policy, TargetArch Arch);
+
+/// The same election scored over an explicit list of (function, index
+/// into \p Modules) pairs instead of the modules' own functions: Biggest
+/// sums each listed function's estimateFunctionSize into its module,
+/// Hottest counts the call sites in the listed bodies. MergeService
+/// scores its archived pristine bodies this way, so a delta elects
+/// exactly like a cold run over the same pool.
+Module *selectHostModule(
+    const std::vector<Module *> &Modules,
+    const std::vector<std::pair<const Function *, uint32_t>> &Functions,
+    HostPolicy Policy, TargetArch Arch);
 
 } // namespace salssa
 

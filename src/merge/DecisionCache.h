@@ -31,23 +31,27 @@
 /// cold. A rejected or missing cache can never produce a wrong merge —
 /// only the fast path is lost.
 ///
-/// Determinism contract. A warm run replays cached entries only when
-/// every referenced partner resolves to a live pool entry; anything
-/// else falls back to the live rank/attempt path for that entry (and
-/// re-records it). For unchanged input, a warm run burns the same
-/// unique-name sequence and emits byte-identical merged modules to its
-/// cold run; for changed input the replayed subset is the *recorded*
-/// decision (optimistic content-addressed caching) — delete the cache
-/// file to force full re-ranking. Which entries replay is decided at
-/// the serial commit stage in pool order, so it is the same at every
-/// thread and shard count on changed input too; a parallel pipeline only
-/// moves *where* a replayed winner is built — an attempt worker builds
-/// it from the recorded alignment when its partner is live at snapshot
-/// time — and the commit stage reuses that attempt only while both
-/// inputs are unconsumed, after the same verifier firewall. The cache
-/// itself is read-only while pipelines run: writes happen only at the
-/// serial commit stage, as pending updates the session's class runner
-/// applies serially once every class pipeline finished.
+/// Determinism contract. A warm run replays cached entries only when every
+/// referenced partner resolves to a live pool entry; anything else falls back
+/// to the live rank/attempt path for that entry (and re-records it). A replayed
+/// entry is its recorded slate run through the commit stage's one loop:
+/// recorded non-winners are skipped and the winner is attempted with its
+/// recorded alignment, behind the same containment accounting, firewall and
+/// quarantine ladder as a live attempt. For unchanged input and no armed
+/// faults, a warm run burns the same unique-name sequence and emits
+/// byte-identical merged modules to its cold run; for changed input the
+/// replayed subset is the *recorded* decision (optimistic content-addressed
+/// caching) — delete the cache file to force full re-ranking. Which entries
+/// replay is decided at the serial commit stage in pool order, so it is the
+/// same at every thread and shard count on changed input too; a parallel
+/// pipeline only moves *where* a replayed winner is built — an attempt worker
+/// builds it from the recorded alignment when its partner is live at snapshot
+/// time — and the commit stage reuses that attempt only while both inputs are
+/// unconsumed, after the same verifier firewall. The cache itself is read-only
+/// while pipelines run: writes happen only at the serial commit stage, as
+/// pending updates the session's class runner (runClassPipelines,
+/// merge/MergePipeline.h) applies serially once every class pipeline finished.
+/// That runner is the only code that loads and saves the file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,8 +104,9 @@ struct CachedAttempt {
 
 /// The serial commit stage's full decision for one pool entry. Only
 /// clean entries are recorded: every attempt completed (no faults, no
-/// budget rejects, no verifier rejects), so replay never needs the
-/// failure-containment ladder.
+/// budget rejects, no verifier rejects). Replay still runs the winner
+/// behind the failure-containment ladder, so faults armed on a warm run
+/// are contained and counted there like a live attempt's.
 struct CachedDecision {
   std::vector<CachedAttempt> Attempts; ///< empty = entry ranked dry
   int32_t Winner = -1;                 ///< index into Attempts, -1 = no commit
@@ -120,9 +125,9 @@ struct DecisionCacheUpdate {
 };
 
 /// The cache proper: an in-memory decision map with versioned,
-/// checksummed binary persistence. Owned by the session
-/// (CrossModuleMerger / MergeService); pipelines see a
-/// read-only view plus an update vector (merge/MergePipeline.h).
+/// checksummed binary persistence. Owned by the class runner
+/// (runClassPipelines) for one call; pipelines see a read-only view
+/// plus an update vector (merge/MergePipeline.h).
 class DecisionCache {
 public:
   /// Bumped on any change to the file format, the structural-hash

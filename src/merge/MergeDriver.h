@@ -120,7 +120,7 @@ struct MergeDriverOptions {
   unsigned QuarantineThreshold = 3;
   /// Deterministic fault injection (tests/soaks only; see
   /// support/FaultInjection.h). Disarmed by default; when disarmed here,
-  /// the pipeline falls back to the SALSSA_FAULTS environment spec, so a
+  /// a session falls back to the SALSSA_FAULTS environment spec, so a
   /// stock binary can be soaked without a rebuild.
   FaultInjectionConfig Faults;
   /// Exact structural-hash pre-clustering (merge/StructuralHash.h), the
@@ -154,16 +154,18 @@ struct MergeDriverOptions {
   /// them — skipping ranking and alignment for unchanged entries — and
   /// re-record anything that no longer resolves. Invalid/corrupt files
   /// self-invalidate (Stats.CacheLoadRejected) and the run proceeds
-  /// cold. A session's class pipelines share this one cache
-  /// (serial-commit-stage writes only). Interactions: the cache key
-  /// embeds an options
-  /// fingerprint (Arch, Selection, Canonicalize, ... — see
-  /// DecisionCache.h), so flipping Canonicalize or the size-model
-  /// target self-invalidates stale entries rather than replaying wrong
-  /// decisions; MergeService honours the cache on full session builds
-  /// only, never on incremental deltas. Not designed to compose with
-  /// armed fault injection: replayed entries skip the fault points
-  /// they would have hit.
+  /// cold. A session's class pipelines share this one cache, which the
+  /// class runner alone loads and saves (serial-commit-stage recordings
+  /// only). Interactions: the cache key embeds an options fingerprint
+  /// (Arch, Selection, Canonicalize, ... — see DecisionCache.h), so
+  /// flipping Canonicalize or the size-model target self-invalidates
+  /// stale entries rather than replaying wrong decisions; MergeService
+  /// honours the cache on full session builds only, never on
+  /// incremental deltas. Under armed fault injection a replayed winner
+  /// runs the fault points, budget gate, firewall and quarantine ladder
+  /// like a live attempt, but skipped non-winners consult no fault
+  /// point, so a warm run under faults is still not a cold run under
+  /// faults.
   std::string DecisionCachePath;
 };
 

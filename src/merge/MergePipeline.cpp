@@ -69,14 +69,12 @@ MergePipeline::MergePipeline(const std::vector<Module *> &Modules,
   BaseT = std::max(1u, Options.ExplorationThreshold);
   CurrentT = BaseT;
   MaxT = BaseT + AdaptiveRange;
-  // Failure containment: programmatic arming wins, otherwise a stock
-  // binary can be soaked via the SALSSA_FAULTS environment spec. Both
-  // pointers stay null on a healthy run so attemptMerge takes its exact
-  // pre-containment path (the zero-fault bit-identity invariant).
-  Faults = Options.Faults.armed() ? Options.Faults
-                                  : FaultInjectionConfig::fromEnv();
-  if (Faults.armed())
-    FaultsPtr = &Faults;
+  // Failure containment (Options.Faults already carries the class
+  // runner's SALSSA_FAULTS fallback). Both pointers stay null on a
+  // healthy run so attemptMerge takes its exact pre-containment path (the
+  // zero-fault bit-identity invariant).
+  if (Options.Faults.armed())
+    FaultsPtr = &Options.Faults;
   if (Options.Budget.any())
     Budget = &Options.Budget;
   buildPool();
@@ -363,46 +361,49 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
     Journal.push_back(PipelineEntryTrace());
     return;
   }
-  // Warm fast path: replay the recorded decision when one exists and
-  // still resolves against the live pool; otherwise fall through to the
-  // live rank/attempt path (and count the miss). A worker-built winner of
-  // a missed replay is dropped first: the live path must never reuse an
-  // attempt built from a cached alignment, so it runs the entry like an
-  // inert task.
-  if (Cache) {
-    if (replayFromCache(I, Spec))
-      return;
-    if (Spec && Spec->Replay) {
-      discardRemaining(*Spec);
-      Spec = nullptr;
-    }
-    ++Stats.CacheMisses;
-  }
   PipelineEntryTrace Trace;
   Trace.EntryFn = Pool[I].F;
   Function *F1 = Pool[I].F;
-  // Live-path recording: an entry is cacheable only when its whole slate
-  // ran clean (every attempt completed, nothing verifier-rejected) — a
-  // replayed entry must never need the failure-containment ladder.
-  bool Recordable = CacheUpdates != nullptr;
+
+  // The slate. A cache hit is the entry's recorded slate, resolved
+  // against the live pool; every other entry ranks, and counts a miss
+  // when a cache is attached. A worker-built winner of a missed replay is
+  // dropped first: the live path must never reuse an attempt built from
+  // a cached alignment, so it runs the entry like an inert task.
+  std::vector<CandidateIndex::Hit> Candidates;
+  const CachedDecision *Hit = Cache ? cachedSlate(I, Candidates) : nullptr;
+  if (Hit) {
+    ++Stats.CacheHits;
+  } else {
+    if (Cache) {
+      if (Spec && Spec->Replay) {
+        discardRemaining(*Spec);
+        Spec = nullptr;
+      }
+      ++Stats.CacheMisses;
+    }
+    // Pairing phase: rank the other live candidates by fingerprint
+    // distance and keep the top-t. In the parallel path this re-ranks
+    // against the *current* pool — the optimistic conflict rule: only
+    // candidates still in this authoritative list may reuse their
+    // speculative attempt (both inputs then provably unchanged since the
+    // snapshot), everything else is redone inline.
+    Candidates = rank(I);
+    if (Spec && !std::equal(Candidates.begin(), Candidates.end(),
+                            Spec->Hits.begin(), Spec->Hits.end(),
+                            [](const CandidateIndex::Hit &A,
+                               const CandidateIndex::Hit &B) {
+                              return A.Id == B.Id && A.Distance == B.Distance;
+                            }))
+      ++Stats.CommitConflicts;
+  }
+  // Recording: a ranked entry is cacheable only when its whole slate ran
+  // clean (every attempt completed, nothing verifier-rejected). A
+  // replayed entry keeps the recording it replayed.
+  bool Recordable = CacheUpdates != nullptr && !Hit;
   CachedDecision Recorded;
 
-  // Pairing phase: rank the other live candidates by fingerprint
-  // distance and keep the top-t. In the parallel path this re-ranks
-  // against the *current* pool — the optimistic conflict rule: only
-  // candidates still in this authoritative list may reuse their
-  // speculative attempt (both inputs then provably unchanged since the
-  // snapshot), everything else is redone inline.
-  std::vector<CandidateIndex::Hit> Candidates = rank(I);
-  if (Spec && !std::equal(Candidates.begin(), Candidates.end(),
-                          Spec->Hits.begin(), Spec->Hits.end(),
-                          [](const CandidateIndex::Hit &A,
-                             const CandidateIndex::Hit &B) {
-                            return A.Id == B.Id && A.Distance == B.Distance;
-                          }))
-    ++Stats.CommitConflicts;
-
-  // Try the top-t candidates; keep the most profitable attempt. This
+  // Try the slate in order; keep the most profitable attempt. This
   // replays the serial driver exactly: same attempt order, same record
   // order, and — via the explicit makeUniqueName burn for reused
   // speculative attempts — the same unique-name sequence the serial
@@ -416,15 +417,45 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
   for (size_t Slate = 0; Slate < Candidates.size(); ++Slate) {
     const CandidateIndex::Hit &R = Candidates[Slate];
     Function *F2 = Pool[R.Id].F;
-    std::string StagedName;
-    MergeAttempt A = attemptAt(I, R.Id, Spec, StagedName);
-    ++Stats.Attempts;
     Trace.Partners.push_back(F2);
-    Stats.PeakAlignmentBytes =
-        std::max(Stats.PeakAlignmentBytes, A.Stats.AlignmentBytes);
     MergeRecord Rec;
     Rec.Name1 = F1->getName();
     Rec.Name2 = F2->getName();
+    if (Hit && Hit->Winner != static_cast<int32_t>(Slate)) {
+      // A recorded non-winner runs no attempt, but the unique name its
+      // recorded code generation burned is burned anyway — the counter
+      // must stay in lockstep for byte-identical modules downstream — and
+      // its observed profit calibrates the model, so live-ranked entries
+      // downstream see the same estimates.
+      const CachedAttempt &CA = Hit->Attempts[Slate];
+      Materialize.makeUniqueName(F1->getName() + ".m");
+      Rec.Stats.Outcome = AttemptOutcome::CacheSkipped;
+      Rec.Stats.SizeF1 = Pool[I].CostSize;
+      Rec.Stats.SizeF2 = Pool[R.Id].CostSize;
+      Rec.Stats.Profitable = CA.Profitable;
+      Stats.Records.push_back(Rec);
+      ++Stats.CacheSkips;
+      if (CA.Profitable)
+        ++Stats.ProfitableMerges;
+      if (ProfitGuided)
+        Profit.observe(
+            ProfitModel::overlap(Pool[I].FP, Pool[R.Id].FP, R.Distance),
+            R.Distance, static_cast<int>(CA.ProfitObs));
+      continue;
+    }
+    // A replayed winner runs the real pipeline with its recorded
+    // alignment: the cache is a shortcut, not an authority, so the
+    // payload is validated inside attemptMerge (silent fallback to the
+    // live aligner) and everything below — containment, calibration,
+    // firewall — treats it like a live attempt.
+    AlignmentReplay AR;
+    if (Hit)
+      AR = replayOf(Hit->Attempts[Slate]);
+    std::string StagedName;
+    MergeAttempt A = attemptAt(I, R.Id, Spec, StagedName, Hit ? &AR : nullptr);
+    ++Stats.Attempts;
+    Stats.PeakAlignmentBytes =
+        std::max(Stats.PeakAlignmentBytes, A.Stats.AlignmentBytes);
     Rec.Stats = A.Stats;
     size_t RecIdx = Stats.Records.size();
     Stats.Records.push_back(Rec);
@@ -508,8 +539,14 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
   // AdaptRoundSize entries so a single outlier cannot thrash t; the
   // range is clamped to [BaseT, MaxT], which is the convergence bound
   // selection_test pins.
-  if (Options.Selection == SelectionStrategy::Adaptive &&
-      !Candidates.empty()) {
+  if (Hit) {
+    // A replayed entry casts the vote it recorded, so the threshold
+    // trajectory — hence every live-ranked entry — matches the recording
+    // run.
+    if (Options.Selection == SelectionStrategy::Adaptive && Hit->VoteTallied)
+      tallyVote(Hit->VoteShrink, Hit->VoteWiden);
+  } else if (Options.Selection == SelectionStrategy::Adaptive &&
+             !Candidates.empty()) {
     bool Shrink = !Best.Valid || BestSlate == 0;
     bool Widen = !Shrink && Candidates.size() >= CurrentT &&
                  BestSlate + 1 == Candidates.size();
@@ -622,119 +659,24 @@ void MergePipeline::commitWinner(size_t I, size_t PartnerIdx,
   Journal.push_back(std::move(Trace));
 }
 
-bool MergePipeline::replayFromCache(size_t I, AttemptTask *Spec) {
+const CachedDecision *
+MergePipeline::cachedSlate(size_t I,
+                           std::vector<CandidateIndex::Hit> &Slate) const {
   const CachedDecision *D = Cache->lookup({Pool[I].Hash, Pool[I].HashOcc});
-  if (!D)
-    return false;
-  // Resolve every recorded partner against the live pool up front: the
-  // replay is all-or-nothing, so a half-resolved decision (changed code,
-  // or an earlier miss that perturbed the pool) costs nothing and the
-  // entry re-runs — and re-records — live.
-  std::vector<uint32_t> Partner(D->Attempts.size());
-  for (size_t A = 0; A < D->Attempts.size(); ++A) {
-    auto It = KeyToPool.find(D->Attempts[A].Partner);
+  if (!D ||
+      (D->Winner >= 0 && static_cast<size_t>(D->Winner) >= D->Attempts.size()))
+    return nullptr; // defensive: load() range-checks, but stay safe
+  // All-or-nothing: a half-resolved decision (changed code, or an earlier
+  // miss that perturbed the pool) costs nothing, and the entry re-runs —
+  // and re-records — live.
+  for (const CachedAttempt &CA : D->Attempts) {
+    auto It = KeyToPool.find(CA.Partner);
     if (It == KeyToPool.end() || It->second == I || Pool[It->second].Consumed)
-      return false;
-    Partner[A] = It->second;
+      return nullptr;
+    Slate.push_back(
+        {CA.Distance, It->second, Pool[It->second].ModuleId, /*EstProfit=*/0});
   }
-  if (D->Winner >= 0 && static_cast<size_t>(D->Winner) >= D->Attempts.size())
-    return false; // defensive: load() range-checks, but stay safe
-
-  PipelineEntryTrace Trace;
-  Trace.EntryFn = Pool[I].F;
-  Function *F1 = Pool[I].F;
-  const bool ProfitGuided = Options.Selection != SelectionStrategy::Distance;
-
-  MergeAttempt Best;
-  uint32_t BestIdx = 0;
-  size_t BestRecord = 0;
-  size_t BestOffset = 0;
-  std::string BestName; // non-empty iff Best is a worker-built attempt
-  for (size_t A = 0; A < D->Attempts.size(); ++A) {
-    const CachedAttempt &CA = D->Attempts[A];
-    Function *F2 = Pool[Partner[A]].F;
-    Trace.Partners.push_back(F2);
-    MergeRecord Rec;
-    Rec.Name1 = F1->getName();
-    Rec.Name2 = F2->getName();
-    if (D->Winner != static_cast<int32_t>(A)) {
-      // Skipped non-winner: no pipeline runs, but the unique name its
-      // cold-run code generation burned is burned anyway — the counter
-      // must stay in lockstep for byte-identical modules downstream.
-      Materialize.makeUniqueName(F1->getName() + ".m");
-      Rec.Stats.Outcome = AttemptOutcome::CacheSkipped;
-      Rec.Stats.SizeF1 = Pool[I].CostSize;
-      Rec.Stats.SizeF2 = Pool[Partner[A]].CostSize;
-      Rec.Stats.Profitable = CA.Profitable;
-      if (CA.Profitable)
-        ++Stats.ProfitableMerges;
-      Stats.Records.push_back(Rec);
-      ++Stats.CacheSkips;
-      // Replay the calibration the cold run's executed attempt fed the
-      // model, so live-ranked (miss) entries downstream see the same
-      // estimates.
-      if (ProfitGuided)
-        Profit.observe(ProfitModel::overlap(Pool[I].FP, Pool[Partner[A]].FP,
-                                            CA.Distance),
-                       CA.Distance, static_cast<int>(CA.ProfitObs));
-      continue;
-    }
-    // The winner: run the real pipeline with the recorded alignment —
-    // the cache is a shortcut, not an authority, so the replay payload
-    // is validated inside attemptMerge (silent fallback to the live
-    // aligner) and the commit firewall below stays on. A worker may
-    // already have built it the same way (runParallel): every partner
-    // resolved to an unconsumed entry above, so its inputs are unchanged
-    // since the snapshot and the attempt is reused.
-    AlignmentReplay AR = replayOf(CA);
-    std::string StagedName;
-    MergeAttempt W = attemptAt(I, Partner[A], Spec, StagedName, &AR);
-    ++Stats.Attempts;
-    Stats.PeakAlignmentBytes =
-        std::max(Stats.PeakAlignmentBytes, W.Stats.AlignmentBytes);
-    Rec.Stats = W.Stats;
-    size_t RecIdx = Stats.Records.size();
-    Stats.Records.push_back(Rec);
-    if (ProfitGuided && W.Valid)
-      Profit.observe(ProfitModel::overlap(Pool[I].FP, Pool[Partner[A]].FP,
-                                          CA.Distance),
-                     CA.Distance, W.profit());
-    if (W.Stats.Profitable)
-      ++Stats.ProfitableMerges;
-    if (W.Valid && W.Stats.Profitable) {
-      VerifierReport Firewall = verifyFunction(*W.Gen.Merged);
-      if (!Firewall.ok()) {
-        ++Stats.VerifierRejects;
-        Stats.Records[RecIdx].Stats.VerifierRejected = true;
-        discardMerge(W);
-      } else {
-        Best = W;
-        BestIdx = Partner[A];
-        BestRecord = RecIdx;
-        BestOffset = A;
-        BestName = StagedName;
-      }
-    } else if (W.Valid) {
-      discardMerge(W);
-    }
-  }
-  if (Spec)
-    discardRemaining(*Spec);
-
-  // Replay the recorded adaptive vote so the per-class threshold
-  // trajectory matches the cold run for every entry that still ranks
-  // live.
-  if (Options.Selection == SelectionStrategy::Adaptive && D->VoteTallied)
-    tallyVote(D->VoteShrink, D->VoteWiden);
-
-  ++Stats.CacheHits;
-
-  if (!Best.Valid) {
-    Journal.push_back(std::move(Trace));
-    return true;
-  }
-  commitWinner(I, BestIdx, Best, BestName, BestRecord, BestOffset, Trace);
-  return true;
+  return D;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1013,7 +955,7 @@ void splice(Module &Host, const std::vector<ClassSlice *> &Slices,
   // across classes, exactly like the per-worker accumulators inside one
   // pipeline. The containment and cache counters are serial-commit-stage
   // counts, so their sums are deterministic; so are the cluster stages'.
-  // CacheLoadRejected, a session-level counter, belongs to the caller.
+  // CacheLoadRejected is the runner's own: one load per call.
   for (size_t I = 0; I < Slices.size(); ++I) {
     const MergeDriverStats &S = Slices[I]->Stats;
     assert(Cursors[I].J == Slices[I]->Journal.size() &&
@@ -1058,9 +1000,8 @@ void salssa::runClassPipelines(
     const std::vector<Module *> &Modules, Module &Host,
     const MergeDriverOptions &Options,
     const std::map<Function *, unsigned> &BaselineSize,
-    const FingerprintView &Fingerprints, DecisionCache *Cache,
-    ClassSlices &Classes, const std::set<Type *> &Run,
-    MergeDriverStats &Into) {
+    const FingerprintView &Fingerprints, bool UseCache, ClassSlices &Classes,
+    const std::set<Type *> &Run, MergeDriverStats &Into) {
   std::vector<ClassSlice *> Slices;
   std::map<Type *, uint32_t> SliceOf;
   for (auto &KV : Classes) {
@@ -1104,6 +1045,28 @@ void salssa::runClassPipelines(
     return FirstMember[A] < FirstMember[B];
   });
 
+  // Fault injection, resolved once for the pipelines and the cache I/O:
+  // programmatic arming wins, otherwise a stock binary can be soaked via
+  // the SALSSA_FAULTS environment spec.
+  MergeDriverOptions RunOptions = Options;
+  if (!RunOptions.Faults.armed())
+    RunOptions.Faults = FaultInjectionConfig::fromEnv();
+  const FaultInjectionConfig *Faults =
+      RunOptions.Faults.armed() ? &RunOptions.Faults : nullptr;
+
+  // The session's decision cache: loaded once (self-invalidating on
+  // damage or an options/version mismatch), read-only while the
+  // pipelines run.
+  UseCache = UseCache && !Options.DecisionCachePath.empty();
+  DecisionCache Cache;
+  uint64_t CacheFP = 0;
+  if (UseCache) {
+    CacheFP = DecisionCache::optionsFingerprint(Options);
+    Into.CacheLoadRejected =
+        Cache.load(Options.DecisionCachePath, CacheFP, Faults) ==
+        DecisionCache::LoadOutcome::Rejected;
+  }
+
   // Run. Classes touch disjoint functions and the shared Context interns
   // under a lock, so concurrent pipelines are race-free (ir/README.md),
   // commits included. Threads left over after one per worker go to the
@@ -1116,7 +1079,6 @@ void salssa::runClassPipelines(
       Options.ShardCount == 0 ? NumThreads : Options.ShardCount;
   const unsigned Workers = static_cast<unsigned>(
       std::max<size_t>(1, std::min<size_t>(Requested, Runs.size())));
-  MergeDriverOptions RunOptions = Options;
   RunOptions.NumThreads = std::max(1u, NumThreads / Workers);
   std::vector<std::unique_ptr<Module>> Scratch(Runs.size());
   std::vector<std::vector<DecisionCacheUpdate>> Updates(Runs.size());
@@ -1125,8 +1087,9 @@ void salssa::runClassPipelines(
         Host.getName() + ".class" + std::to_string(R), Host.getContext());
   auto runOne = [&](size_t R) {
     MergePipeline Pipeline(Modules, Host, RunOptions, BaselineSize,
-                           Fingerprints, *Slices[Runs[R]], *Scratch[R], Cache,
-                           Cache ? &Updates[R] : nullptr);
+                           Fingerprints, *Slices[Runs[R]], *Scratch[R],
+                           UseCache ? &Cache : nullptr,
+                           UseCache ? &Updates[R] : nullptr);
     Pipeline.run();
   };
   if (Workers <= 1 || NumThreads <= 1) {
@@ -1139,10 +1102,15 @@ void salssa::runClassPipelines(
     Pool.wait();
   }
   // Recordings are keyed by (hash, occurrence), and a key belongs to one
-  // class, so they never collide; the cache serializes sorted by key.
-  if (Cache)
+  // class, so they never collide; the cache serializes sorted by key, so
+  // the file bytes are identical at every class schedule and thread
+  // count. A failed write (I/O error or injected CacheIO fault) means "no
+  // cache for the next run", never a failed session.
+  if (UseCache) {
     for (std::vector<DecisionCacheUpdate> &U : Updates)
-      Cache->apply(std::move(U));
+      Cache.apply(std::move(U));
+    Cache.save(Options.DecisionCachePath, CacheFP, Faults);
+  }
 
   // The session's pool in global serial order, known only now that the
   // cluster stages ran: every unconsumed member in (module registration,

@@ -59,14 +59,17 @@
 /// adapt their exploration threshold within the class alone, so a class
 /// never sees another class's signal and Profit/Adaptive outcomes do not
 /// depend on how classes are scheduled. And when a warm DecisionCache is
-/// attached, the serial commit stage replays cached entry decisions —
-/// skipping ranking and alignment while burning the exact unique-name
-/// sequence of the cold run — with a per-entry fallback to the live path
-/// (see merge/DecisionCache.h). Replay shares the optimistic attempt
-/// stage: when a cached winner's partner is live at snapshot time, a
+/// attached, an entry whose recorded slate still resolves (a cache hit,
+/// see merge/DecisionCache.h) takes that slate instead of ranking, and
+/// runs it through the same commit loop as a ranked one: recorded
+/// non-winners are skipped — burning the exact unique-name sequence of
+/// the cold run — and the recorded winner is attempted with its recorded
+/// alignment, behind the same containment, firewall and quarantine
+/// accounting as a live attempt. Replay shares the optimistic attempt
+/// stage too: when a cached winner's partner is live at snapshot time, a
 /// worker builds the winner from its recorded alignment, and the commit
 /// stage reuses that attempt under the same rule as a live one (both
-/// inputs still unconsumed), verifier firewall included.
+/// inputs still unconsumed).
 ///
 /// Failure containment (see "Failure containment & fault injection" in
 /// src/merge/README.md): every attempt runs behind an attempt guard that
@@ -172,10 +175,16 @@ using ClassSlices = std::map<Type *, ClassSlice>;
 ///           FIFO pool of W = min(MergeDriverOptions::ShardCount — 0 =
 ///           NumThreads —, classes) workers, each pipeline with
 ///           max(1, threads / W) attempt-stage threads. ShardCount = 1
-///           runs them one after another with every thread.
-///   cache   when \p Cache is set, pipelines replay its decisions
-///           read-only and their recordings are applied to it after the
-///           run; persisting it is the caller's move.
+///           runs them one after another with every thread. Fault
+///           injection is resolved once here (Options.Faults, else the
+///           SALSSA_FAULTS environment spec) for every pipeline and the
+///           cache I/O.
+///   cache   when \p UseCache is set and MergeDriverOptions::
+///           DecisionCachePath is not empty, the runner loads the file
+///           (setting Into.CacheLoadRejected), the pipelines replay its
+///           decisions read-only, and after the run their recordings are
+///           applied and the file is saved. No other code reads or
+///           writes the cache file.
 ///   splice  serially, in the exact order one pipeline over the whole
 ///           pool would have produced. Cluster bodies come first: one
 ///           unique name is burned in \p Host per committed group of
@@ -202,9 +211,9 @@ using ClassSlices = std::map<Type *, ClassSlice>;
 void runClassPipelines(const std::vector<Module *> &Modules, Module &Host,
                        const MergeDriverOptions &Options,
                        const std::map<Function *, unsigned> &BaselineSize,
-                       const FingerprintView &Fingerprints,
-                       DecisionCache *Cache, ClassSlices &Classes,
-                       const std::set<Type *> &Run, MergeDriverStats &Into);
+                       const FingerprintView &Fingerprints, bool UseCache,
+                       ClassSlices &Classes, const std::set<Type *> &Run,
+                       MergeDriverStats &Into);
 
 /// One run of the staged merge driver over one class of a session.
 /// Constructed with the pool's profitability baselines (captured before
@@ -227,8 +236,8 @@ public:
   ///
   /// \p Cache, when set, is a read-only warm decision cache
   /// (merge/DecisionCache.h): every pool entry gets a (StructuralHash,
-  /// occurrence) key and the serial commit stage replays cached
-  /// decisions instead of ranking, falling back to the live path per
+  /// occurrence) key and the serial commit stage takes an entry's
+  /// recorded slate instead of ranking, falling back to the live path per
   /// entry whenever a recorded partner no longer resolves. \p CacheUpdates,
   /// when set, receives each *clean* live entry (every attempt completed,
   /// no verifier reject) as a pending update; pipelines never write the
@@ -281,8 +290,9 @@ private:
     std::vector<CandidateIndex::Hit> Hits;
     std::vector<MergeAttempt> Attempts;    ///< parallel results, 1:1 with Hits
     /// The recorded winning attempt of a cache-hit entry (null for live
-    /// entries): workers build it with its alignment replayed, and only
-    /// replayFromCache may reuse the result.
+    /// entries): workers build it with its alignment replayed, and only a
+    /// cache hit's slate may reuse the result — commitEntry drops it when
+    /// the entry misses.
     const CachedAttempt *Replay = nullptr;
     /// False for inert tasks — cache-hit entries whose winner cannot be
     /// built ahead (dry decisions, partners that do not resolve to a live
@@ -330,29 +340,30 @@ private:
                     uint32_t SelfModule, unsigned T) const;
 
   // --- commit stage ---------------------------------------------------------
-  /// Processes pool entry \p I to completion: re-ranks against the
-  /// current pool, reuses matching speculative attempts from \p Spec
-  /// (null in the serial path), runs any missing attempt inline, commits
-  /// the most profitable one. Exactly replays the serial driver's
-  /// attempt order, record order and name allocation.
+  /// Processes pool entry \p I to completion in one loop over its slate:
+  /// the recorded slate on a cache hit (cachedSlate), otherwise a
+  /// re-rank against the current pool. Recorded non-winners are skipped;
+  /// every other slot reuses its matching speculative attempt from \p
+  /// Spec (null in the serial path) or runs inline, and the most
+  /// profitable one commits. Exactly replays the serial driver's attempt
+  /// order, record order and name allocation.
   void commitEntry(size_t I, AttemptTask *Spec);
-  /// The commit-stage attempt of entry \p I with partner \p PartnerIdx,
-  /// shared by the live path and cache replay. Reuses the Valid
-  /// speculative attempt \p Spec holds for exactly that partner, burning
-  /// into \p StagedName the unique name the serial generator would have
-  /// consumed here; otherwise runs the attempt inline into Materialize
-  /// (with \p Replay's alignment, when set) and leaves \p StagedName
-  /// empty. The caller must have checked that both inputs are
-  /// unconsumed — that is what makes a reused attempt current.
+  /// The commit-stage attempt of entry \p I with partner \p PartnerIdx.
+  /// Reuses the Valid speculative attempt \p Spec holds for exactly that
+  /// partner, burning into \p StagedName the unique name the serial
+  /// generator would have consumed here; otherwise runs the attempt
+  /// inline into Materialize (with \p Replay's alignment, when set) and
+  /// leaves \p StagedName empty. The caller must have checked that both
+  /// inputs are unconsumed — that is what makes a reused attempt current.
   MergeAttempt attemptAt(size_t I, uint32_t PartnerIdx, AttemptTask *Spec,
                          std::string &StagedName,
                          const AlignmentReplay *Replay = nullptr);
-  /// The commit tail shared by the live path and cache replay: adopts a
-  /// staged \p Best into Materialize under \p StagedName (empty: it was
-  /// generated there), thunks both its inputs (entry \p I, partner \p
-  /// PartnerIdx), marks record \p BestRecord committed, retires both
-  /// inputs, offers the merged function back to the pool and journals \p
-  /// Trace with the winner at offset \p WinnerOffset of its partners.
+  /// The commit tail of commitEntry: adopts a staged \p Best into
+  /// Materialize under \p StagedName (empty: it was generated there),
+  /// thunks both its inputs (entry \p I, partner \p PartnerIdx), marks
+  /// record \p BestRecord committed, retires both inputs, offers the
+  /// merged function back to the pool and journals \p Trace with the
+  /// winner at offset \p WinnerOffset of its partners.
   void commitWinner(size_t I, size_t PartnerIdx, MergeAttempt &Best,
                     const std::string &StagedName, size_t BestRecord,
                     size_t WinnerOffset, PipelineEntryTrace &Trace);
@@ -376,16 +387,13 @@ private:
   /// order — which is what makes occurrence indices stable across
   /// thread counts and class schedules.
   void assignCacheKey(size_t I);
-  /// Serial-commit-stage cache replay for entry \p I. Returns true when
-  /// a cached decision was found and every recorded partner resolved to
-  /// a live pool entry: the whole entry was then replayed (skipped
-  /// records + name burns for non-winners, codegen with the recorded
-  /// alignment for the winner — reusing \p Spec's worker-built attempt
-  /// when there is one — votes and model observations as recorded) and
-  /// committed/journaled exactly like the live path. Returns false —
-  /// entry and \p Spec untouched — on any mismatch; the caller discards
-  /// \p Spec, runs the live path and counts a CacheMiss.
-  bool replayFromCache(size_t I, AttemptTask *Spec);
+  /// The cache hit of entry \p I: its recorded decision, returned only
+  /// when every recorded partner resolves through KeyToPool to an
+  /// unconsumed entry other than \p I (all or nothing). \p Slate then
+  /// holds those partners in recorded order, each at its recorded
+  /// distance. Null on a miss.
+  const CachedDecision *
+  cachedSlate(size_t I, std::vector<CandidateIndex::Hit> &Slate) const;
 
   // --- failure containment --------------------------------------------------
   /// One strike for each side of a failed attempt (fault, budget or
@@ -420,8 +428,9 @@ private:
   // Resolved once at construction. Both pointers stay null on a healthy
   // run (no caps, no armed faults), keeping attemptMerge on its exact
   // pre-containment path — the zero-fault bit-identity invariant.
-  FaultInjectionConfig Faults; ///< Options.Faults, else SALSSA_FAULTS env
-  const FaultInjectionConfig *FaultsPtr = nullptr; ///< &Faults iff armed
+  /// &Options.Faults iff armed (the class runner has already applied
+  /// the SALSSA_FAULTS fallback to it).
+  const FaultInjectionConfig *FaultsPtr = nullptr;
   const AttemptBudget *Budget = nullptr; ///< &Options.Budget iff any cap
 
   std::vector<PoolEntry> Pool;
@@ -441,9 +450,8 @@ private:
   unsigned WidenVotes = 0;   ///< deep wins (profit found at the slate tail)
   unsigned ShrinkVotes = 0;  ///< top-1 wins / dry entries
   /// Applies one entry's adaptive vote and closes the round when
-  /// AdaptRoundSize entries have voted. Shared by the live commit path
-  /// and cache replay (which replays recorded votes so the threshold
-  /// trajectory — hence every live-ranked entry — matches the cold run).
+  /// AdaptRoundSize entries have voted. A cache hit casts its recorded
+  /// vote instead of computing one.
   void tallyVote(bool Shrink, bool Widen);
   unsigned BaseT = 1;       ///< == Options.ExplorationThreshold
   unsigned MaxT = 1;        ///< adaptation ceiling (BaseT + AdaptiveRange)

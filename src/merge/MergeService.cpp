@@ -8,7 +8,6 @@
 #include "codesize/SizeModel.h"
 #include "ir/Instruction.h"
 #include "ir/Module.h"
-#include "merge/DecisionCache.h"
 #include "support/Chrono.h"
 #include "transforms/Canonicalize.h"
 #include "transforms/Cloning.h"
@@ -116,8 +115,8 @@ MergeServiceStats MergeService::initialize() {
 
   // Session prologue, mirroring CrossModuleMerger::run stage for stage:
   // resolution first, host policy second (Hottest counts resolved call
-  // sites), then the full-session build (cache + registration + merge)
-  // shared with the degraded path.
+  // sites), then the full-session build (registration + merge) shared
+  // with the degraded path.
   LastResolution = resolveCalleesAcrossModules(Modules);
   if (!ExplicitHost)
     Host = selectHostModule(Modules, Options.Driver.Host,
@@ -260,7 +259,12 @@ MergeServiceStats MergeService::applyDeltaLocked(
     //    remaining classes and re-runs every class in place on the new
     //    host, from the new host's own name-counter base.
     if (!ExplicitHost && Options.Driver.Host != HostPolicy::First) {
-      Module *Leader = electHostFromArchive();
+      std::vector<std::pair<const Function *, uint32_t>> Archived;
+      Archived.reserve(Tracked.size());
+      for (const auto &KV : Tracked)
+        Archived.emplace_back(KV.second.Archived, KV.second.ModuleId);
+      Module *Leader = selectHostModule(Modules, Archived, Options.Driver.Host,
+                                        Options.Driver.Arch);
       if (Leader != Host) {
         std::set<Type *> All = allClasses();
         uncommitClasses(All, {}, {}, Out);
@@ -275,7 +279,7 @@ MergeServiceStats MergeService::applyDeltaLocked(
     }
 
     // 6. Localized re-merge + splice.
-    runEpoch(Dirty, Out);
+    runEpoch(Dirty, Out, /*FullBuild=*/false);
   } catch (const std::exception &) {
     degradeToFullRemerge(Delta, Out);
   }
@@ -365,7 +369,7 @@ void MergeService::eraseDeleted(const std::vector<Function *> &Deleted) {
 // --- Re-merge + splice -------------------------------------------------------
 
 void MergeService::runEpoch(const std::set<Type *> &Dirty,
-                            MergeServiceStats &Out) {
+                            MergeServiceStats &Out, bool FullBuild) {
   auto T0 = std::chrono::steady_clock::now();
 
   // Fingerprint view over every tracked function (element pointers into
@@ -393,11 +397,18 @@ void MergeService::runEpoch(const std::set<Type *> &Dirty,
   // *all* classes — dirty ones from this run, clean ones from their
   // retained journals — with the host's name counter reset to the
   // pre-merge base, so names, record order and FunctionOrder reconstruct
-  // the from-scratch run.
+  // the from-scratch run. Only a full build runs against the decision
+  // cache (the runner loads and saves it); between full builds the
+  // session reports the last build's load, exactly like the cold
+  // sessions report theirs once per run.
   Host->setUniqueNameCounter(HostCounterBase);
   CrossModuleStats &Session = Out.Session;
   runClassPipelines(Modules, *Host, Options.Driver, Baselines, FPView,
-                    EpochCache, Classes, Dirty, Session.Driver);
+                    FullBuild, Classes, Dirty, Session.Driver);
+  if (FullBuild)
+    SessionCacheLoadRejected = Session.Driver.CacheLoadRejected;
+  else
+    Session.Driver.CacheLoadRejected = SessionCacheLoadRejected;
 
   // Quarantine intake + this-epoch work accounting (dirty classes only).
   for (Type *T : Dirty) {
@@ -417,10 +428,6 @@ void MergeService::runEpoch(const std::set<Type *> &Dirty,
   for (const auto &KV : Tracked)
     LiveClasses.insert(KV.first->getReturnType());
   Out.TotalClasses = static_cast<unsigned>(LiveClasses.size());
-  // The session-level cache counter is set by assignment, exactly like
-  // the cold sessions set it once per run; between full builds it reports
-  // the last build's load.
-  Session.Driver.CacheLoadRejected = SessionCacheLoadRejected;
   // SizeBefore is the cold run's exactly: estimateModuleSize sums
   // definitions, and the pristine pool's definitions are precisely the
   // tracked originals at their archived (baseline) sizes.
@@ -451,23 +458,6 @@ void MergeService::rebuildSession(MergeServiceStats &Out) {
       Archive->eraseFunction(F);
   }
 
-  // One shared decision cache for every class pipeline of this build:
-  // loaded (and self-invalidated) once, read-only while pipelines run,
-  // appended to from their serial-commit recordings, persisted after.
-  const FaultInjectionConfig *FaultsPtr =
-      SessionFaults.armed() ? &SessionFaults : nullptr;
-  DecisionCache Cache;
-  uint64_t CacheFP = 0;
-  const bool UseCache = !Options.Driver.DecisionCachePath.empty();
-  SessionCacheLoadRejected = 0;
-  if (UseCache) {
-    CacheFP = DecisionCache::optionsFingerprint(Options.Driver);
-    if (Cache.load(Options.Driver.DecisionCachePath, CacheFP, FaultsPtr) ==
-        DecisionCache::LoadOutcome::Rejected)
-      ++SessionCacheLoadRejected;
-    EpochCache = &Cache;
-  }
-
   // Register the pool: every definition, the cold session's pool
   // exactly. The quarantine ledger survives a rebuild; strikes decay on
   // their own schedule.
@@ -482,49 +472,8 @@ void MergeService::rebuildSession(MergeServiceStats &Out) {
   // epoch's splice; the registered modules' own counters never move.
   HostCounterBase = Host->uniqueNameCounter();
 
-  runEpoch(Dirty, Out);
-  EpochCache = nullptr;
+  runEpoch(Dirty, Out, /*FullBuild=*/true);
   Out.DirtyClasses = Out.TotalClasses;
-
-  // The run applied the class recordings; the cache serializes sorted by
-  // key, so the file bytes are identical at every thread count.
-  if (UseCache)
-    Cache.save(Options.Driver.DecisionCachePath, CacheFP, FaultsPtr);
-}
-
-Module *MergeService::electHostFromArchive() const {
-  if (Options.Driver.Host == HostPolicy::First || Modules.size() == 1)
-    return Modules.front();
-  std::vector<uint64_t> Score(Modules.size(), 0);
-  if (Options.Driver.Host == HostPolicy::Biggest) {
-    // estimateModuleSize over the pristine pool == the tracked archived
-    // baselines grouped by registered module.
-    for (const auto &KV : Tracked)
-      Score[KV.second.ModuleId] += KV.second.Baseline;
-  } else { // HostPolicy::Hottest
-    // The archived bodies are the resolved pristine pool: their callee
-    // operands still point at the live canonical definitions, so the
-    // in-degree lands on the definition's registered module, exactly as
-    // selectHostModule counts it on a cold run.
-    std::unordered_map<const Module *, size_t> Rank;
-    for (size_t I = 0; I < Modules.size(); ++I)
-      Rank[Modules[I]] = I;
-    for (const auto &KV : Tracked)
-      for (BasicBlock *BB : *KV.second.Archived)
-        for (Instruction *I : *BB) {
-          auto *CB = dyn_cast<CallBase>(I);
-          if (!CB || !CB->getCallee() || CB->getCallee()->isDeclaration())
-            continue;
-          auto It = Rank.find(CB->getCallee()->getParent());
-          if (It != Rank.end())
-            ++Score[It->second];
-        }
-  }
-  size_t BestIdx = 0;
-  for (size_t I = 1; I < Modules.size(); ++I)
-    if (Score[I] > Score[BestIdx])
-      BestIdx = I;
-  return Modules[BestIdx];
 }
 
 // --- Degraded path -----------------------------------------------------------
@@ -542,7 +491,6 @@ void MergeService::degradeToFullRemerge(const MergeDelta &Delta,
   // re-degrade.
   ++FullRemergeCount;
   Out.DegradedToFullRemerge = true;
-  EpochCache = nullptr; // a fault may have unwound mid-build
 
   // 1. Un-commit everything (classes already un-committed have empty
   //    journals; restore skips client-edited and deleted bodies).

@@ -94,20 +94,23 @@
 ///    body erased — and re-clusters its members.
 ///  - `Driver.DecisionCachePath`: read and written only by the two full
 ///    session builds, initialize() and the degraded path, exactly like a
-///    batch session — loaded before the class pipelines run, persisted
-///    after the splice. A localized epoch never touches the file. A
-///    restarted service pointed at the same file warm-replays its epoch 0
-///    (the merge daemon's restart story, service/Daemon.h).
+///    batch session — both run their classes through runClassPipelines
+///    with the cache on, and that runner alone loads the file before the
+///    class pipelines run and saves it after. A localized epoch runs with
+///    the cache off and never touches the file; every epoch reports the
+///    last full build's CacheLoadRejected. A restarted service pointed at
+///    the same file warm-replays its epoch 0 (the merge daemon's restart
+///    story, service/Daemon.h).
 ///
-/// Host election: a cold run always elects, so unless setHostModule()
-/// pinned the host or the policy is HostPolicy::First, the Driver.Host
-/// election re-runs after every delta's bookkeeping refresh, scored over
-/// the pristine archive (what a cold run scores after resolution). When
-/// the leader moves, the remaining classes are un-committed, the old
-/// host's unique-name counter returns to its base, the new host's counter
-/// becomes the base, and the ordinary localized epoch re-runs every class
-/// in place; MergeServiceStats::HostReelected reports it. The degraded
-/// path elects over the restored pool before it rebuilds.
+/// Host election: a cold run always elects, so unless setHostModule() pinned
+/// the host or the policy is HostPolicy::First, the Driver.Host election
+/// re-runs after every delta's bookkeeping refresh: the cold run's
+/// selectHostModule, scored over the pristine archived bodies (what a cold
+/// run scores after resolution). When the leader moves, the remaining classes
+/// are un-committed, the old host's unique-name counter returns to its base,
+/// the new host's counter becomes the base, and the ordinary localized epoch
+/// re-runs every class in place; MergeServiceStats::HostReelected reports it.
+/// The degraded path elects over the restored pool before it rebuilds.
 ///
 /// v1 limits: SalSSA technique only. Destroy the service before the
 /// modules it serves (the archive keeps operand references into them).
@@ -277,16 +280,16 @@ private:
   /// original body is live and pristine in its registered module (thunks
   /// restored, cluster bodies and merged functions erased, deletions
   /// applied), resolution has run, Host is chosen and its unique-name
-  /// counter sits at the pre-burn base. Loads and saves the decision
-  /// cache, re-registers everything, and merges every class.
+  /// counter sits at the pre-burn base. Re-registers everything and
+  /// merges every class as a full build.
   void rebuildSession(MergeServiceStats &Out);
-  /// The Driver.Host election re-scored from the pristine archive
-  /// (what a cold run scores after resolution); ties to the
-  /// earlier-registered module, exactly like selectHostModule.
-  Module *electHostFromArchive() const;
   /// Runs pipelines for the dirty classes, splices every class's journal
-  /// into the host against the global plan, and fills Out.Session.
-  void runEpoch(const std::set<Type *> &Dirty, MergeServiceStats &Out);
+  /// into the host against the global plan, and fills Out.Session. Only
+  /// a \p FullBuild (initialize() and the degraded path) runs against
+  /// the decision cache, which the class runner loads and saves; a delta
+  /// never touches the file.
+  void runEpoch(const std::set<Type *> &Dirty, MergeServiceStats &Out,
+                bool FullBuild);
   void degradeToFullRemerge(const MergeDelta &Delta, MergeServiceStats &Out);
   MergeServiceStats applyDeltaLocked(const MergeDelta &Delta,
                                      const std::unordered_set<const Function *>
@@ -312,12 +315,9 @@ private:
   unsigned HostCounterBase = 0; ///< unique-name counter before splice burns
   unsigned FullRemergeCount = 0;
   unsigned HostReelectionCount = 0;
-  /// The last full build's CacheLoadRejected, mirrored into
-  /// Session.Driver each epoch (cold sessions set it once per run).
+  /// The last full build's CacheLoadRejected, reported by every delta
+  /// epoch too (cold sessions set it once per run).
   uint64_t SessionCacheLoadRejected = 0;
-  /// Warm cache exposed to the class pipelines, non-null only while
-  /// rebuildSession runs a cache-backed full build.
-  DecisionCache *EpochCache = nullptr;
   SymbolResolutionStats LastResolution;
   FaultInjectionConfig SessionFaults; ///< resolved at initialize()
   MergeServiceStats Last;

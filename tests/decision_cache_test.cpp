@@ -22,6 +22,9 @@
 //     pool the attempt workers build the replayed winners, with nothing
 //     discarded and nothing re-run inline, and neither edited input nor
 //     worker task failures make a warm run depend on the thread count.
+//  6. A replayed winner runs through the live commit loop, so under
+//     armed faults its failures are counted and strike the quarantine
+//     ladder exactly like a live attempt's.
 //
 //===----------------------------------------------------------------------===//
 
@@ -333,6 +336,64 @@ TEST(DecisionCacheTest, TaskFailuresOnReplayTasksNeverChangeTheBytes) {
   EXPECT_GT(O.Stats.TaskFailures, 0u);
   EXPECT_EQ(O.Stats.CacheMisses, 0u);
   EXPECT_EQ(O.Stats.Attempts, O.Stats.CommittedMerges);
+  std::remove(DO.DecisionCachePath.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Warm replay under armed faults
+//===----------------------------------------------------------------------===//
+
+TEST(DecisionCacheTest, ReplayedWinnersAreCountedLikeLiveAttempts) {
+  // A fault-free recording replayed under alignment, budget and codegen
+  // faults: every containment counter must equal the records carrying
+  // its outcome (replayed winners included), and the warm run must not
+  // depend on the thread count. Each leg starts from the fault-free file
+  // (a warm run rewrites it with its misses).
+  BenchmarkProfile P = cacheProfile(11);
+  MergeDriverOptions DO = baseOptions();
+  DO.DecisionCachePath = cachePath("faulted_warm");
+  RunOutcome Cold = runConfig(P, DO);
+  ASSERT_GT(Cold.Stats.CommittedMerges, 0u);
+  const std::vector<uint8_t> Recording = fileBytes(DO.DecisionCachePath);
+  for (const char *Spec :
+       {"seed=3,align=300", "seed=5,budget=300", "seed=7,codegen=400"}) {
+    RunOutcome Serial;
+    for (unsigned NT : {1u, 4u}) {
+      ASSERT_TRUE(writeFileBytes(DO.DecisionCachePath, Recording));
+      MergeDriverOptions Warm = DO;
+      Warm.NumThreads = NT;
+      Warm.Faults = FaultInjectionConfig::parse(Spec);
+      std::string Tag = std::string(Spec) + " threads=" + std::to_string(NT);
+      RunOutcome O = runConfig(P, Warm);
+      EXPECT_TRUE(O.VerifierOk) << Tag;
+      EXPECT_GT(O.Stats.CacheHits, 0u) << Tag;
+      unsigned Faulted = 0, Budget = 0, Rejected = 0;
+      for (const MergeRecord &R : O.Stats.Records) {
+        Faulted += R.Stats.Outcome == AttemptOutcome::Faulted;
+        Budget += R.Stats.Outcome == AttemptOutcome::BudgetAlignment ||
+                  R.Stats.Outcome == AttemptOutcome::BudgetBody;
+        Rejected += R.Stats.VerifierRejected;
+      }
+      EXPECT_GT(Faulted + Budget + Rejected, 0u) << Tag << ": nothing fired";
+      EXPECT_EQ(O.Stats.AttemptFailures, Faulted) << Tag;
+      EXPECT_EQ(O.Stats.BudgetRejects, Budget) << Tag;
+      EXPECT_EQ(O.Stats.VerifierRejects, Rejected) << Tag;
+      if (NT == 1) {
+        Serial = std::move(O);
+        continue;
+      }
+      expectSameMerges(O, Serial, Tag);
+      for (size_t I = 0; I < O.Stats.Records.size(); ++I)
+        EXPECT_EQ(O.Stats.Records[I].Stats.Outcome,
+                  Serial.Stats.Records[I].Stats.Outcome)
+            << Tag << " record " << I;
+      EXPECT_EQ(O.Stats.QuarantinedFunctions,
+                Serial.Stats.QuarantinedFunctions)
+          << Tag;
+      EXPECT_EQ(O.Stats.CacheHits, Serial.Stats.CacheHits) << Tag;
+      EXPECT_EQ(O.Stats.CacheMisses, Serial.Stats.CacheMisses) << Tag;
+    }
+  }
   std::remove(DO.DecisionCachePath.c_str());
 }
 

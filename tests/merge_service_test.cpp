@@ -23,6 +23,9 @@
 //  4. Concurrency: delta batches from racing client threads serialize
 //     wholesale (snapshot isolation); the final session equals a cold
 //     run over the final pool.
+//  5. Warm paths: hash clustering and host moves stay cold-equivalent,
+//     and only the full builds (initialize() and the degraded path)
+//     load and save the decision cache.
 //
 //===----------------------------------------------------------------------===//
 
@@ -830,6 +833,77 @@ TEST(MergeServiceTest, DecisionCacheWarmStartReplaysByteIdentical) {
   EXPECT_EQ(Inc.CommittedMerges, Cold.CommittedMerges);
   EXPECT_EQ(Inc.SizeBefore, Cold.SizeBefore);
   EXPECT_EQ(Inc.SizeAfter, Cold.SizeAfter);
+  std::remove(Path.c_str());
+}
+
+TEST(MergeServiceTest, DecisionCacheLifecycleFollowsTheFullBuilds) {
+  // Only the full builds — initialize() and the degraded path — load and
+  // save the cache; a localized delta never touches the file but keeps
+  // reporting the last full build's load.
+  const std::string Path =
+      ::testing::TempDir() + "salssa_svc_cache_lifecycle.bin";
+  {
+    std::ofstream Damaged(Path, std::ios::binary | std::ios::trunc);
+    Damaged << "not a decision cache";
+  }
+  MergeDriverOptions DO = driverOptions(SelectionStrategy::Distance, 1, 1);
+  MergeServiceOptions SO;
+  SO.Driver = DO;
+  SO.Driver.DecisionCachePath = Path;
+  EditScript Script = [] {
+    Context Ctx;
+    ModuleGroup Group = buildGroup(Ctx);
+    return EditScript(modsOf(Group), scriptOptions(84));
+  }();
+  Outcome Cold = coldOutcome(Script, 1, DO);
+
+  std::string Written;
+  {
+    Context Ctx;
+    ModuleGroup Group = buildGroup(Ctx);
+    std::vector<Module *> Mods = modsOf(Group);
+    MergeService Svc(SO);
+    for (Module *M : Mods)
+      Svc.addModule(*M);
+    MergeServiceStats Init = Svc.initialize();
+    EXPECT_EQ(Init.Session.Driver.CacheLoadRejected, 1u);
+    EXPECT_EQ(Init.Session.Driver.CacheHits, 0u);
+    Written = fileBytes(Path);
+    DecisionCache Check;
+    EXPECT_EQ(Check.load(Path, DecisionCache::optionsFingerprint(SO.Driver),
+                         nullptr),
+              DecisionCache::LoadOutcome::Loaded)
+        << "initialize() must replace the damaged file";
+
+    MergeServiceStats St = applyStepService(Svc, Script, Mods, 0);
+    EXPECT_FALSE(St.DegradedToFullRemerge);
+    EXPECT_EQ(St.Session.Driver.CacheLoadRejected, 1u);
+    EXPECT_EQ(St.Session.Driver.CacheHits, 0u);
+    EXPECT_EQ(fileBytes(Path), Written) << "a localized delta wrote the file";
+    expectSameOutcome(outcomeOf(Mods, St.Session), Cold, "localized delta");
+  }
+
+  // A restarted service warm-starts from that file, and its degraded
+  // delta (the symbol-resolution fault point fires only in the service)
+  // rebuilds against the cache as well.
+  SO.Driver.Faults = FaultInjectionConfig::parse("seed=7,symres=1000");
+  Context Ctx;
+  ModuleGroup Group = buildGroup(Ctx);
+  std::vector<Module *> Mods = modsOf(Group);
+  MergeService Svc(SO);
+  for (Module *M : Mods)
+    Svc.addModule(*M);
+  MergeServiceStats Init = Svc.initialize();
+  EXPECT_EQ(Init.Session.Driver.CacheLoadRejected, 0u);
+  EXPECT_GT(Init.Session.Driver.CacheHits, 0u);
+  MergeServiceStats St = applyStepService(Svc, Script, Mods, 0);
+  EXPECT_TRUE(St.DegradedToFullRemerge);
+  EXPECT_EQ(St.Session.Driver.CacheLoadRejected, 0u);
+  EXPECT_GT(St.Session.Driver.CacheHits, 0u) << "the degraded rebuild missed";
+  Outcome Degraded = outcomeOf(Mods, St.Session);
+  EXPECT_TRUE(Degraded.VerifierOk);
+  EXPECT_EQ(Degraded.Prints, Cold.Prints) << "warm rebuild changed bytes";
+  EXPECT_EQ(Degraded.CommittedMerges, Cold.CommittedMerges);
   std::remove(Path.c_str());
 }
 
