@@ -9,109 +9,105 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Dominators.h"
+#include <algorithm>
 
 using namespace salssa;
 
-DominatorTree::DominatorTree(const Function &F) : F(F), CFG(F) {
+InstructionOrder::InstructionOrder(const Function &F) {
+  unsigned N = 0;
+  for (const BasicBlock *BB : F)
+    for (const Instruction *I : *BB)
+      Position.emplace(I, N++);
+}
+
+DominatorTree::DominatorTree(const Function &F) : CFG(F) {
   const std::vector<BasicBlock *> &RPO = CFG.reversePostOrder();
-  if (RPO.empty())
+  const unsigned N = static_cast<unsigned>(RPO.size());
+  if (N == 0)
     return;
-  for (unsigned I = 0; I < RPO.size(); ++I)
-    RPOIndex[RPO[I]] = I;
 
-  BasicBlock *Entry = RPO.front();
-  IDom[Entry] = Entry; // sentinel: entry is its own idom internally
-
-  auto Intersect = [&](BasicBlock *A, BasicBlock *B) {
+  // Numbers are RPO positions, so a block's dominators all have smaller
+  // numbers; the entry (0) is its own idom internally.
+  IDom.assign(N, CFGInfo::Unreachable);
+  IDom[0] = 0;
+  auto Intersect = [&](unsigned A, unsigned B) {
     while (A != B) {
-      while (RPOIndex.at(A) > RPOIndex.at(B))
-        A = IDom.at(A);
-      while (RPOIndex.at(B) > RPOIndex.at(A))
-        B = IDom.at(B);
+      while (A > B)
+        A = IDom[A];
+      while (B > A)
+        B = IDom[B];
     }
     return A;
   };
-
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (unsigned I = 1; I < RPO.size(); ++I) {
-      BasicBlock *BB = RPO[I];
-      BasicBlock *NewIDom = nullptr;
-      for (BasicBlock *P : CFG.predecessors(BB)) {
-        if (!IDom.count(P))
+    for (unsigned B = 1; B < N; ++B) {
+      unsigned NewIDom = CFGInfo::Unreachable;
+      for (unsigned P : CFG.predecessorNumbers(B)) {
+        if (IDom[P] == CFGInfo::Unreachable)
           continue; // predecessor not yet processed
-        NewIDom = NewIDom ? Intersect(NewIDom, P) : P;
+        NewIDom = NewIDom == CFGInfo::Unreachable ? P : Intersect(NewIDom, P);
       }
-      assert(NewIDom && "reachable block with no processed predecessor");
-      auto It = IDom.find(BB);
-      if (It == IDom.end() || It->second != NewIDom) {
-        IDom[BB] = NewIDom;
+      assert(NewIDom != CFGInfo::Unreachable &&
+             "reachable block with no processed predecessor");
+      if (IDom[B] != NewIDom) {
+        IDom[B] = NewIDom;
         Changed = true;
       }
     }
   }
 
-  for (unsigned I = 1; I < RPO.size(); ++I)
-    Children[IDom.at(RPO[I])].push_back(RPO[I]);
+  Children.resize(N);
+  for (unsigned B = 1; B < N; ++B)
+    Children[IDom[B]].push_back(RPO[B]);
+
+  // Preorder intervals: A dominates B iff B's interval nests in A's.
+  DFSIn.assign(N, 0);
+  DFSOut.assign(N, 0);
+  unsigned Clock = 0;
+  std::vector<std::pair<unsigned, size_t>> Stack = {{0, 0}};
+  DFSIn[0] = Clock++;
+  while (!Stack.empty()) {
+    auto &[B, NextChild] = Stack.back();
+    if (NextChild < Children[B].size()) {
+      unsigned C = CFG.getNumber(Children[B][NextChild++]);
+      DFSIn[C] = Clock++;
+      Stack.push_back({C, 0});
+      continue;
+    }
+    DFSOut[B] = Clock++;
+    Stack.pop_back();
+  }
 }
 
 const std::vector<BasicBlock *> &
 DominatorTree::getChildren(const BasicBlock *BB) const {
-  auto It = Children.find(BB);
-  return It == Children.end() ? EmptyChildren : It->second;
-}
-
-std::set<BasicBlock *> DominatorTree::iteratedDominanceFrontier(
-    const std::set<BasicBlock *> &DefBlocks) {
-  std::set<BasicBlock *> Result;
-  std::vector<BasicBlock *> Worklist(DefBlocks.begin(), DefBlocks.end());
-  while (!Worklist.empty()) {
-    BasicBlock *BB = Worklist.back();
-    Worklist.pop_back();
-    if (!CFG.isReachable(BB))
-      continue;
-    for (BasicBlock *FBlock : dominanceFrontier(BB))
-      if (Result.insert(FBlock).second)
-        Worklist.push_back(FBlock);
-  }
-  return Result;
+  unsigned N = CFG.getNumber(BB);
+  return N == CFGInfo::Unreachable ? Empty : Children[N];
 }
 
 BasicBlock *DominatorTree::getIDom(const BasicBlock *BB) const {
-  auto It = IDom.find(BB);
-  if (It == IDom.end())
-    return nullptr;
-  // Entry's sentinel self-idom is reported as null.
-  return It->second == BB ? nullptr : It->second;
+  unsigned N = CFG.getNumber(BB);
+  if (N == CFGInfo::Unreachable || N == 0)
+    return nullptr; // the entry's sentinel self-idom is reported as null
+  return CFG.reversePostOrder()[IDom[N]];
 }
 
 bool DominatorTree::dominates(const BasicBlock *A,
                               const BasicBlock *B) const {
-  if (!CFG.isReachable(B))
+  unsigned BN = CFG.getNumber(B);
+  if (BN == CFGInfo::Unreachable)
     return true; // vacuous: nothing executes in B
-  if (!CFG.isReachable(A))
+  unsigned AN = CFG.getNumber(A);
+  if (AN == CFGInfo::Unreachable)
     return false;
-  if (A == B)
-    return true;
-  const BasicBlock *Runner = B;
-  unsigned AIdx = RPOIndex.at(A);
-  while (true) {
-    auto It = IDom.find(Runner);
-    assert(It != IDom.end() && "reachable block missing from idom map");
-    if (It->second == Runner)
-      return false; // reached the entry without meeting A
-    Runner = It->second;
-    if (Runner == A)
-      return true;
-    // Dominators always have smaller RPO indices; early exit when passed.
-    if (RPOIndex.at(Runner) < AIdx)
-      return false;
-  }
+  return DFSIn[AN] <= DFSIn[BN] && DFSOut[BN] <= DFSOut[AN];
 }
 
 bool DominatorTree::dominates(const Instruction *Def,
-                              const Instruction *User) const {
+                              const Instruction *User,
+                              const InstructionOrder *Order) const {
   const BasicBlock *DefBB = Def->getParent();
   const BasicBlock *UserBB = User->getParent();
   assert(DefBB && UserBB && "dominance query on unlinked instructions");
@@ -125,6 +121,8 @@ bool DominatorTree::dominates(const Instruction *Def,
     return true;
   if (User->isPhi())
     return false;
+  if (Order)
+    return Order->comesBefore(Def, User);
   for (const Instruction *I : *DefBB) {
     if (I == Def)
       return true;
@@ -143,29 +141,75 @@ bool DominatorTree::dominatesBlockExit(const Instruction *Def,
   return dominates(DefBB, BB);
 }
 
-const std::set<BasicBlock *> &
-DominatorTree::dominanceFrontier(const BasicBlock *BB) {
-  if (!FrontiersComputed) {
-    FrontiersComputed = true;
-    for (BasicBlock *B : CFG.reversePostOrder()) {
-      const std::vector<BasicBlock *> &Preds = CFG.predecessors(B);
-      if (Preds.size() < 2)
-        continue;
-      for (BasicBlock *P : Preds) {
-        BasicBlock *Runner = P;
-        BasicBlock *Stop = getIDom(B);
-        while (Runner && Runner != Stop) {
-          Frontiers[Runner].insert(B);
-          Runner = getIDom(Runner);
-        }
-        // The entry has a null idom; if Stop is null the walk above ends
-        // at the entry naturally (its getIDom is null).
-        if (!Stop && Runner == nullptr) {
-          // Walked past entry: nothing else to add.
-        }
+void DominatorTree::computeFrontiers() {
+  FrontiersComputed = true;
+  const unsigned N = static_cast<unsigned>(CFG.getNumReachableBlocks());
+  Frontiers.resize(N);
+  // Blocks are visited in RPO, so every frontier list ends up ascending,
+  // and a block already added by an earlier predecessor's walk is the
+  // list's tail.
+  for (unsigned B = 0; B < N; ++B) {
+    const std::vector<unsigned> &Preds = CFG.predecessorNumbers(B);
+    if (Preds.size() < 2)
+      continue;
+    for (unsigned P : Preds) {
+      // Walk up from P to B's idom; the entry (whose own idom is null)
+      // ends the walk when B is the entry itself.
+      for (unsigned Runner = P;
+           B == 0 || Runner != IDom[B]; Runner = IDom[Runner]) {
+        std::vector<unsigned> &L = Frontiers[Runner];
+        if (L.empty() || L.back() != B)
+          L.push_back(B);
+        if (Runner == 0)
+          break;
       }
     }
   }
-  auto It = Frontiers.find(BB);
-  return It == Frontiers.end() ? EmptyFrontier : It->second;
+}
+
+std::vector<BasicBlock *>
+DominatorTree::dominanceFrontier(const BasicBlock *BB) {
+  if (!FrontiersComputed)
+    computeFrontiers();
+  std::vector<BasicBlock *> Result;
+  unsigned N = CFG.getNumber(BB);
+  if (N != CFGInfo::Unreachable)
+    for (unsigned Y : Frontiers[N])
+      Result.push_back(CFG.reversePostOrder()[Y]);
+  return Result;
+}
+
+std::vector<BasicBlock *> DominatorTree::iteratedDominanceFrontier(
+    const std::vector<BasicBlock *> &DefBlocks) {
+  if (!FrontiersComputed)
+    computeFrontiers();
+  // One stamp per query marks the blocks already in the result, so
+  // repeated queries (one per promoted slot) reuse the mark vector.
+  if (IDFMark.empty() || ++IDFStamp == 0) {
+    IDFMark.assign(CFG.getNumReachableBlocks(), 0);
+    IDFStamp = 1;
+  }
+  std::vector<unsigned> Result;
+  std::vector<unsigned> Worklist;
+  for (BasicBlock *BB : DefBlocks) {
+    unsigned N = CFG.getNumber(BB);
+    if (N != CFGInfo::Unreachable)
+      Worklist.push_back(N);
+  }
+  while (!Worklist.empty()) {
+    unsigned B = Worklist.back();
+    Worklist.pop_back();
+    for (unsigned Y : Frontiers[B])
+      if (IDFMark[Y] != IDFStamp) {
+        IDFMark[Y] = IDFStamp;
+        Result.push_back(Y);
+        Worklist.push_back(Y);
+      }
+  }
+  std::sort(Result.begin(), Result.end());
+  std::vector<BasicBlock *> Blocks;
+  Blocks.reserve(Result.size());
+  for (unsigned Y : Result)
+    Blocks.push_back(CFG.reversePostOrder()[Y]);
+  return Blocks;
 }

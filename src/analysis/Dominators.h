@@ -10,6 +10,10 @@
 /// verifier uses instruction-level dominance to check the SSA dominance
 /// property that SalSSA's code generator must restore (§4.3 of the paper).
 ///
+/// Blocks are identified by their CFGInfo number (RPO position); idoms,
+/// children and frontiers live in vectors indexed by it, and block
+/// dominance is an O(1) interval test on a DFS numbering of the tree.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SALSSA_ANALYSIS_DOMINATORS_H
@@ -18,6 +22,22 @@
 #include "analysis/CFG.h"
 
 namespace salssa {
+
+/// Layout positions of one function's instructions, numbered once for
+/// repeated same-block dominance queries while the function does not
+/// change (the verifier, violation scans).
+class InstructionOrder {
+public:
+  explicit InstructionOrder(const Function &F);
+
+  /// True when \p A comes before \p B (both in the numbered function).
+  bool comesBefore(const Instruction *A, const Instruction *B) const {
+    return Position.at(A) < Position.at(B);
+  }
+
+private:
+  std::unordered_map<const Instruction *, unsigned> Position;
+};
 
 /// Immediate-dominator tree over the reachable CFG of one function.
 class DominatorTree {
@@ -34,39 +54,43 @@ public:
   bool dominates(const BasicBlock *A, const BasicBlock *B) const;
 
   /// Instruction-level dominance: true when \p Def's value is available at
-  /// \p User. Same-block cases use instruction order; phi uses must be
-  /// checked against the incoming block's terminator by the caller.
-  bool dominates(const Instruction *Def, const Instruction *User) const;
+  /// \p User. Same-block cases use instruction order — read from \p Order
+  /// when given, else by scanning the block; phi uses must be checked
+  /// against the incoming block's terminator by the caller.
+  bool dominates(const Instruction *Def, const Instruction *User,
+                 const InstructionOrder *Order = nullptr) const;
 
   /// True when the value \p Def is available on exit from block \p BB.
   bool dominatesBlockExit(const Instruction *Def,
                           const BasicBlock *BB) const;
 
-  /// Dominance frontier of \p BB (computed lazily on first query).
-  const std::set<BasicBlock *> &dominanceFrontier(const BasicBlock *BB);
+  /// Dominance frontier of \p BB in ascending RPO order (frontiers are
+  /// computed for every block on the first query).
+  std::vector<BasicBlock *> dominanceFrontier(const BasicBlock *BB);
 
-  /// Children of \p BB in the dominator tree.
+  /// Children of \p BB in the dominator tree, in ascending RPO order.
   const std::vector<BasicBlock *> &getChildren(const BasicBlock *BB) const;
 
   /// Iterated dominance frontier of \p DefBlocks — the phi placement set
-  /// of Cytron et al.'s SSA construction.
-  std::set<BasicBlock *>
-  iteratedDominanceFrontier(const std::set<BasicBlock *> &DefBlocks);
+  /// of Cytron et al.'s SSA construction — in ascending RPO order.
+  /// Unreachable entries of \p DefBlocks contribute nothing.
+  std::vector<BasicBlock *>
+  iteratedDominanceFrontier(const std::vector<BasicBlock *> &DefBlocks);
 
   const CFGInfo &getCFG() const { return CFG; }
 
 private:
-  unsigned rpoIndexOf(const BasicBlock *BB) const;
+  void computeFrontiers();
 
-  const Function &F;
   CFGInfo CFG;
-  std::map<const BasicBlock *, BasicBlock *> IDom;
-  std::map<const BasicBlock *, std::vector<BasicBlock *>> Children;
-  std::vector<BasicBlock *> EmptyChildren;
-  std::map<const BasicBlock *, unsigned> RPOIndex;
+  std::vector<unsigned> IDom; ///< by number; the entry is its own idom
+  std::vector<std::vector<BasicBlock *>> Children;
+  std::vector<unsigned> DFSIn, DFSOut; ///< preorder interval in the tree
+  std::vector<BasicBlock *> Empty;
   bool FrontiersComputed = false;
-  std::map<const BasicBlock *, std::set<BasicBlock *>> Frontiers;
-  std::set<BasicBlock *> EmptyFrontier;
+  std::vector<std::vector<unsigned>> Frontiers; ///< by number
+  std::vector<unsigned> IDFMark; ///< per-block query stamp
+  unsigned IDFStamp = 0;
 };
 
 } // namespace salssa

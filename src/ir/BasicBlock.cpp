@@ -41,28 +41,10 @@ std::vector<PhiInst *> BasicBlock::phis() const {
   return Result;
 }
 
-std::vector<BasicBlock *> BasicBlock::successors() const {
+const std::vector<BasicBlock *> &BasicBlock::successors() const {
+  static const std::vector<BasicBlock *> None;
   Instruction *T = getTerminator();
-  if (!T)
-    return {};
-  return T->successors();
-}
-
-std::vector<BasicBlock *> BasicBlock::predecessors() const {
-  std::vector<BasicBlock *> Preds;
-  if (!Parent)
-    return Preds;
-  for (BasicBlock *BB : *Parent) {
-    Instruction *T = BB->getTerminator();
-    if (!T)
-      continue;
-    for (BasicBlock *Succ : T->successors())
-      if (Succ == this) {
-        Preds.push_back(BB);
-        break; // unique blocks, not edges
-      }
-  }
-  return Preds;
+  return T ? T->successors() : None;
 }
 
 bool BasicBlock::isLandingBlock() const {

@@ -6,9 +6,11 @@
 ///
 /// \file
 /// A basic block: a label plus an ordered list of instructions ending in a
-/// terminator. Blocks own their instructions. Predecessor queries are
-/// served by the analysis layer (CFGInfo) — blocks do not keep incremental
-/// predecessor lists that could drift out of sync during CFG surgery.
+/// terminator. Blocks own their instructions. Successors are read off the
+/// terminator; predecessors are served by the analysis layer (CFGInfo for
+/// reachable edges, PredecessorMap for every edge) — blocks do not keep
+/// incremental predecessor lists that could drift out of sync during CFG
+/// surgery.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,11 +69,7 @@ public:
 
   /// Successor blocks, taken from the terminator (empty when
   /// unterminated).
-  std::vector<BasicBlock *> successors() const;
-
-  /// Predecessors computed by scanning the parent function — O(E); use
-  /// analysis::CFGInfo in hot paths.
-  std::vector<BasicBlock *> predecessors() const;
+  const std::vector<BasicBlock *> &successors() const;
 
   /// True when this block starts (after phis) with a landingpad.
   bool isLandingBlock() const;

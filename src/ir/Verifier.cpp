@@ -9,8 +9,9 @@
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include <algorithm>
-#include <map>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace salssa;
 
@@ -75,7 +76,7 @@ private:
   void checkStructure() {
     if (F.getNumBlocks() == 0)
       return;
-    std::set<const BasicBlock *> Blocks;
+    std::unordered_set<const BasicBlock *> Blocks;
     for (const BasicBlock *BB : F)
       Blocks.insert(BB);
     for (const BasicBlock *BB : F) {
@@ -117,16 +118,26 @@ private:
   void checkUseListIntegrity() {
     // Count operand references per (user, value) and compare with the
     // value's user list.
-    std::map<std::pair<const User *, const Value *>, int> RefCount;
+    struct PairHash {
+      size_t operator()(const std::pair<const User *, const Value *> &P) const {
+        return std::hash<const void *>()(P.first) * 31 +
+               std::hash<const void *>()(P.second);
+      }
+    };
+    std::unordered_map<std::pair<const User *, const Value *>, int, PairHash>
+        RefCount;
     for (const BasicBlock *BB : F)
       for (const Instruction *I : *BB)
         for (const Value *Op : I->operands())
           if (Op)
             ++RefCount[{I, Op}];
+    std::unordered_map<const User *, int> FromUsers;
     for (const BasicBlock *BB : F)
       for (const Instruction *I : *BB) {
-        // Every use of I must come from within this function.
-        std::map<const User *, int> FromUsers;
+        // Every use of I must come from within this function. (The
+        // messages name only I, so the users' visiting order is not
+        // observable.)
+        FromUsers.clear();
         for (const User *U : I->users())
           ++FromUsers[U];
         for (auto &[U, N] : FromUsers) {
@@ -145,6 +156,7 @@ private:
 
   void checkPhisAndLandingPads() {
     CFGInfo CFG(F);
+    PredecessorMap AllPreds(F);
     for (const BasicBlock *BB : F) {
       bool SeenNonPhi = false;
       for (const Instruction *I : *BB) {
@@ -155,23 +167,27 @@ private:
       }
       // Phi incoming blocks must exactly match the predecessor set — over
       // *all* edges, including ones from unreachable blocks (as in LLVM).
-      std::set<const BasicBlock *> PredSet;
-      for (BasicBlock *P : BB->predecessors())
-        PredSet.insert(P);
-      for (const PhiInst *P : BB->phis()) {
-        std::set<const BasicBlock *> Incoming;
-        for (unsigned I = 0; I < P->getNumIncoming(); ++I) {
-          const BasicBlock *In = P->getIncomingBlock(I);
-          if (!Incoming.insert(In).second)
-            errorAt(P, "duplicate incoming block");
-          if (!PredSet.count(In))
-            errorAt(P, "incoming block '" + In->getName() +
-                           "' is not a predecessor");
+      const std::vector<BasicBlock *> &Preds = AllPreds.predecessors(BB);
+      std::vector<PhiInst *> Phis = BB->phis();
+      if (!Phis.empty()) {
+        std::unordered_set<const BasicBlock *> PredSet(Preds.begin(),
+                                                       Preds.end());
+        std::unordered_set<const BasicBlock *> Incoming;
+        for (const PhiInst *P : Phis) {
+          Incoming.clear();
+          for (unsigned I = 0; I < P->getNumIncoming(); ++I) {
+            const BasicBlock *In = P->getIncomingBlock(I);
+            if (!Incoming.insert(In).second)
+              errorAt(P, "duplicate incoming block");
+            if (!PredSet.count(In))
+              errorAt(P, "incoming block '" + In->getName() +
+                             "' is not a predecessor");
+          }
+          for (const BasicBlock *Pred : Preds)
+            if (!Incoming.count(Pred))
+              errorAt(P, "missing incoming entry for predecessor '" +
+                             Pred->getName() + "'");
         }
-        for (const BasicBlock *Pred : PredSet)
-          if (!Incoming.count(Pred))
-            errorAt(P, "missing incoming entry for predecessor '" +
-                           Pred->getName() + "'");
       }
       if (!CFG.isReachable(BB))
         continue;
@@ -198,7 +214,7 @@ private:
       if (IsLanding && HasNormalPred)
         error("landing block '" + BB->getName() +
               "' reachable through a normal edge");
-      if (IsLanding && !HasUnwindPred && !PredSet.empty())
+      if (IsLanding && !HasUnwindPred && !Preds.empty())
         error("landing block '" + BB->getName() + "' has no unwind edge");
       // Only one landingpad per block, and only at the head.
       for (const Instruction *I : *BB)
@@ -273,6 +289,7 @@ private:
   void checkDominance() {
     DominatorTree DT(F);
     const CFGInfo &CFG = DT.getCFG();
+    InstructionOrder Order(F);
     for (const BasicBlock *BB : F) {
       if (!CFG.isReachable(BB))
         continue; // values in dead code are exempt, as in LLVM
@@ -300,7 +317,7 @@ private:
             errorAt(I, "operand instruction from another function");
             continue;
           }
-          if (!DT.dominates(DefI, I))
+          if (!DT.dominates(DefI, I, &Order))
             errorAt(I, "operand does not dominate use (SSA dominance "
                        "property violated)");
         }

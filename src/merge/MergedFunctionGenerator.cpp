@@ -11,9 +11,11 @@
 #include "merge/SSARepair.h"
 #include "transforms/Cloning.h"
 #include "transforms/Mem2Reg.h"
+#include "analysis/CFG.h"
 #include "transforms/Simplify.h"
 #include <map>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace salssa;
 
@@ -32,7 +34,7 @@ public:
 
   GeneratedMerge run() {
     createFunctionShell();
-    indexAlignment();
+    checkAlignment();
     createSharedBlocks();
     buildSegmentsAndClones(/*FnIdx=*/1);
     buildSegmentsAndClones(/*FnIdx=*/2);
@@ -76,29 +78,22 @@ private:
     Entry = Merged->createBlock("entry");
   }
 
-  void indexAlignment() {
-    for (const AlignedEntry &E : Align.Entries) {
-      if (!E.isMatch())
-        continue;
-      const SeqItem &A = Seq1[static_cast<size_t>(E.Idx1)];
-      const SeqItem &B = Seq2[static_cast<size_t>(E.Idx2)];
-      assert(itemsMatch(A, B) && "alignment paired unmatchable items");
-      if (A.isLabel())
-        LabelMatch[A.Block] = B.Block;
-      else
-        InstMatch[A.Inst] = B.Inst;
-    }
+  void checkAlignment() const {
+    for ([[maybe_unused]] const AlignedEntry &E : Align.Entries)
+      assert((!E.isMatch() || itemsMatch(Seq1[static_cast<size_t>(E.Idx1)],
+                                         Seq2[static_cast<size_t>(E.Idx2)])) &&
+             "alignment paired unmatchable items");
   }
 
   Value *&vmap(int FnIdx, Value *V) {
     return FnIdx == 1 ? VMap1[V] : VMap2[V];
   }
 
-  std::map<BasicBlock *, BasicBlock *> &head(int FnIdx) {
+  std::unordered_map<BasicBlock *, BasicBlock *> &head(int FnIdx) {
     return FnIdx == 1 ? Head1 : Head2;
   }
 
-  std::map<BasicBlock *, BasicBlock *> &revMap(int FnIdx) {
+  std::unordered_map<BasicBlock *, BasicBlock *> &revMap(int FnIdx) {
     return FnIdx == 1 ? RevMap1 : RevMap2;
   }
 
@@ -188,8 +183,6 @@ private:
                                  B->getName());
         copyPhis(B, FnIdx, LB);
         Heads[B] = LB;
-        BlockSide[LB] =
-            FnIdx == 1 ? MergeOrigin::FromF1 : MergeOrigin::FromF2;
       }
       Rev[LB] = B;
       Segs.push_back(LB);
@@ -209,8 +202,6 @@ private:
           Run = Merged->createBlock("r" + std::to_string(FnIdx) + "." +
                                     B->getName());
           Rev[Run] = B;
-          BlockSide[Run] =
-              FnIdx == 1 ? MergeOrigin::FromF1 : MergeOrigin::FromF2;
           Segs.push_back(Run);
         }
         Instruction *C = cloneInstruction(I, Ctx);
@@ -449,17 +440,10 @@ private:
 
   void assignPhiIncomings() {
     // Full predecessor map over the now-final CFG.
-    std::map<BasicBlock *, std::vector<BasicBlock *>> Preds;
-    for (BasicBlock *MB : *Merged) {
-      Instruction *T = MB->getTerminator();
-      std::set<BasicBlock *> Seen;
-      for (BasicBlock *S : T->successors())
-        if (Seen.insert(S).second)
-          Preds[S].push_back(MB);
-    }
+    PredecessorMap Preds(*Merged);
     for (const CopiedPhi &CP : CopiedPhis) {
       auto &Rev = revMap(CP.FnIdx);
-      for (BasicBlock *PB : Preds[CP.Clone->getParent()]) {
+      for (BasicBlock *PB : Preds.predecessors(CP.Clone->getParent())) {
         Value *Incoming = Ctx.getUndef(CP.Clone->getType());
         auto RIt = Rev.find(PB);
         if (RIt != Rev.end()) {
@@ -493,22 +477,18 @@ private:
   BasicBlock *Entry = nullptr;
   GeneratedMerge Result;
 
-  // Alignment indices.
-  std::map<BasicBlock *, BasicBlock *> LabelMatch; // B1 -> B2
-  std::map<Instruction *, Instruction *> InstMatch; // I1 -> I2
-
   // Value/block mappings (§4.1.2).
-  std::map<Value *, Value *> VMap1, VMap2;           // original -> merged
-  std::map<BasicBlock *, BasicBlock *> Head1, Head2; // original -> merged
-  std::map<BasicBlock *, BasicBlock *> RevMap1, RevMap2; // merged -> orig
-  std::map<Instruction *, BasicBlock *> InstBlock1, InstBlock2;
-  std::map<Instruction *, std::pair<Instruction *, Instruction *>> MergedPair;
-  std::map<Instruction *, Instruction *> OrigOfClone; // clone -> original
-  std::map<Instruction *, MergeOrigin> Origin;
-  std::map<BasicBlock *, MergeOrigin> BlockSide;
-  std::map<BasicBlock *, BasicBlock *> Next1, Next2; // chain successors
-  std::set<Instruction *> Synthetic;                 // generator branches
-  std::set<Instruction *> XorFused;
+  std::unordered_map<Value *, Value *> VMap1, VMap2; // original -> merged
+  std::unordered_map<BasicBlock *, BasicBlock *> Head1, Head2; // orig -> merged
+  std::unordered_map<BasicBlock *, BasicBlock *> RevMap1, RevMap2; // inverse
+  std::unordered_map<Instruction *, BasicBlock *> InstBlock1, InstBlock2;
+  std::unordered_map<Instruction *, std::pair<Instruction *, Instruction *>>
+      MergedPair;
+  std::unordered_map<Instruction *, Instruction *> OrigOfClone; // -> original
+  std::unordered_map<Instruction *, MergeOrigin> Origin;
+  std::unordered_map<BasicBlock *, BasicBlock *> Next1, Next2; // chains
+  std::unordered_set<Instruction *> Synthetic; // generator branches
+  std::unordered_set<Instruction *> XorFused;
 
   struct CopiedPhi {
     PhiInst *Clone;

@@ -10,7 +10,9 @@
 #include "ir/Module.h"
 #include "transforms/Mem2Reg.h"
 #include <algorithm>
+#include <map>
 #include <set>
+#include <unordered_set>
 
 using namespace salssa;
 
@@ -22,7 +24,8 @@ namespace {
 std::vector<Instruction *> findViolatingDefs(Function &F) {
   DominatorTree DT(F);
   const CFGInfo &CFG = DT.getCFG();
-  std::set<Instruction *> Seen;
+  InstructionOrder Order(F);
+  std::unordered_set<const Instruction *> Seen;
   std::vector<Instruction *> Defs;
   auto Record = [&](Instruction *D) {
     if (Seen.insert(D).second)
@@ -43,7 +46,7 @@ std::vector<Instruction *> findViolatingDefs(Function &F) {
       }
       for (Value *Op : I->operands()) {
         auto *D = dyn_cast<Instruction>(Op);
-        if (D && D->getParent() && !DT.dominates(D, I))
+        if (D && D->getParent() && !DT.dominates(D, I, &Order))
           Record(D);
       }
     }
@@ -157,8 +160,8 @@ public:
     BasicBlock *DefBlock = Def->getParent();
     if (At == DefBlock)
       return true; // conservatively: two slot stores in one block
-    std::set<const BasicBlock *> UseBlocks;  // non-phi uses
-    std::set<const BasicBlock *> UseAtExits; // phi uses, on the edge
+    std::unordered_set<const BasicBlock *> UseBlocks;  // non-phi uses
+    std::unordered_set<const BasicBlock *> UseAtExits; // phi uses, on the edge
     for (const User *U : Def->users()) {
       const auto *UI = cast<Instruction>(U);
       if (const auto *P = dyn_cast<PhiInst>(UI)) {
@@ -169,7 +172,7 @@ public:
         UseBlocks.insert(UI->getParent());
       }
     }
-    std::set<const BasicBlock *> Seen = {At};
+    std::unordered_set<const BasicBlock *> Seen = {At};
     std::vector<BasicBlock *> Work = {At};
     while (!Work.empty()) {
       BasicBlock *BB = Work.back();
@@ -194,7 +197,7 @@ private:
 
   Value *Fid;
   bool IsF1;
-  std::set<const BasicBlock *> Reach;
+  std::unordered_set<const BasicBlock *> Reach;
 };
 
 /// A phi incoming edge whose value is replaced by a reload of the phi's
@@ -239,7 +242,7 @@ bool canShare(Instruction *D, Instruction *Partner, const InputPaths &Own,
 
 SSARepairStats salssa::repairSSA(
     Function &Merged, Context &Ctx,
-    const std::map<Instruction *, MergeOrigin> &Origin,
+    const std::unordered_map<Instruction *, MergeOrigin> &Origin,
     bool EnableCoalescing) {
   SSARepairStats Stats;
   std::vector<Instruction *> Defs = findViolatingDefs(Merged);

@@ -30,7 +30,7 @@
 #ifndef SALSSA_MERGE_SSAREPAIR_H
 #define SALSSA_MERGE_SSAREPAIR_H
 
-#include <map>
+#include <unordered_map>
 
 namespace salssa {
 
@@ -54,9 +54,10 @@ struct SSARepairStats {
 /// instructions by provenance (instructions absent from the map are
 /// treated as Shared). When \p EnableCoalescing is set, disjoint
 /// definition pairs share slots per the paper's heuristic.
-SSARepairStats repairSSA(Function &Merged, Context &Ctx,
-                         const std::map<Instruction *, MergeOrigin> &Origin,
-                         bool EnableCoalescing);
+SSARepairStats
+repairSSA(Function &Merged, Context &Ctx,
+          const std::unordered_map<Instruction *, MergeOrigin> &Origin,
+          bool EnableCoalescing);
 
 } // namespace salssa
 

@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "transforms/Mem2Reg.h"
-#include <algorithm>
 #include "analysis/Dominators.h"
 #include "ir/Context.h"
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
-#include <map>
+#include <unordered_map>
 
 using namespace salssa;
 
@@ -44,13 +43,18 @@ bool salssa::isPromotableAlloca(const AllocaInst *A) {
 namespace {
 
 /// Runs Cytron et al. phi placement + renaming for a batch of allocas.
+/// Blocks are identified by their CFGInfo number (RPO position); the
+/// per-slot flags are vectors of stamps, one stamp per slot, so no vector
+/// is cleared between slots.
 class PromotionDriver {
 public:
   PromotionDriver(Function &F, Context &Ctx,
                   const std::vector<AllocaInst *> &Allocas)
-      : F(F), Ctx(Ctx), Allocas(Allocas), DT(F) {}
+      : F(F), Ctx(Ctx), Allocas(Allocas), DT(F), CFG(DT.getCFG()),
+        SlotPhis(CFG.getNumReachableBlocks()) {}
 
   Mem2RegStats run() {
+    SlotIndex.reserve(Allocas.size());
     for (unsigned I = 0; I < Allocas.size(); ++I) {
       assert(isPromotableAlloca(Allocas[I]) && "alloca is not promotable");
       SlotIndex[Allocas[I]] = I;
@@ -63,86 +67,91 @@ public:
 
 private:
   void placePhis() {
-    PhiSlot.clear();
-    // Deterministic block ordering (RPO position) for phi placement; the
-    // raw IDF set iterates in pointer order.
-    std::map<const BasicBlock *, unsigned> RPOIndex;
-    {
-      unsigned Idx = 0;
-      for (BasicBlock *BB : DT.getCFG().reversePostOrder())
-        RPOIndex[BB] = Idx++;
-    }
-    for (AllocaInst *A : Allocas) {
-      std::set<BasicBlock *> DefBlocks;
+    const size_t N = CFG.getNumReachableBlocks();
+    StoreMark.assign(N, 0);
+    LiveMark.assign(N, 0);
+    ScanMark.assign(N, 0);
+    for (unsigned Slot = 0; Slot < Allocas.size(); ++Slot) {
+      AllocaInst *A = Allocas[Slot];
+      const unsigned Stamp = Slot + 1;
+      // Unreachable stores and loads can neither place nor prune a phi:
+      // the frontiers and the liveness closure only reach reachable code.
+      std::vector<BasicBlock *> DefBlocks;
       for (User *U : A->users())
-        if (auto *S = dyn_cast<StoreInst>(U))
-          DefBlocks.insert(S->getParent());
-      std::set<BasicBlock *> LiveIn = computeLiveInBlocks(A);
-      std::set<BasicBlock *> IDF = DT.iteratedDominanceFrontier(DefBlocks);
-      std::vector<BasicBlock *> Ordered;
-      for (BasicBlock *BB : IDF)
-        if (LiveIn.count(BB)) // pruned SSA: no phi where the slot is dead
-          Ordered.push_back(BB);
-      std::sort(Ordered.begin(), Ordered.end(),
-                [&](BasicBlock *X, BasicBlock *Y) {
-                  return RPOIndex.at(X) < RPOIndex.at(Y);
-                });
-      for (BasicBlock *BB : Ordered) {
+        if (auto *S = dyn_cast<StoreInst>(U)) {
+          unsigned B = CFG.getNumber(S->getParent());
+          if (B != CFGInfo::Unreachable && StoreMark[B] != Stamp) {
+            StoreMark[B] = Stamp;
+            DefBlocks.push_back(S->getParent());
+          }
+        }
+      markLiveInBlocks(A, Stamp);
+      // The frontier comes back in ascending RPO position; pruned SSA
+      // places no phi where the slot is dead.
+      for (BasicBlock *BB : DT.iteratedDominanceFrontier(DefBlocks)) {
+        unsigned B = CFG.getNumber(BB);
+        if (LiveMark[B] != Stamp)
+          continue;
         // One phi per (slot, block).
         auto *P = new PhiInst(A->getAllocatedType());
         P->setName(A->hasName() ? A->getName() + ".phi" : "m2r.phi");
         BB->insert(BB->begin(), P);
-        PhiSlot[P] = SlotIndex.at(A);
+        SlotPhis[B].push_back({P, Slot});
+        PlacedPhis.push_back(P);
         ++Stats.PhisInserted;
       }
     }
   }
 
-  /// Blocks at whose entry the slot's value may still be read (the
-  /// pruning set of LLVM's mem2reg): blocks that load before any store,
-  /// closed backwards through store-free blocks.
-  std::set<BasicBlock *> computeLiveInBlocks(AllocaInst *A) {
-    std::set<BasicBlock *> UseBeforeDef;
-    std::set<BasicBlock *> HasStore;
-    for (User *U : A->users())
-      if (auto *S = dyn_cast<StoreInst>(U))
-        HasStore.insert(S->getParent());
+  /// Marks with \p Stamp the blocks at whose entry the slot's value may
+  /// still be read (the pruning set of LLVM's mem2reg): blocks that load
+  /// before any store, closed backwards through store-free blocks. Needs
+  /// StoreMark of this slot.
+  void markLiveInBlocks(AllocaInst *A, unsigned Stamp) {
+    std::vector<unsigned> Worklist;
     for (User *U : A->users()) {
       auto *L = dyn_cast<LoadInst>(U);
       if (!L)
         continue;
       BasicBlock *BB = L->getParent();
-      if (!HasStore.count(BB)) {
-        UseBeforeDef.insert(BB);
+      unsigned B = CFG.getNumber(BB);
+      if (B == CFGInfo::Unreachable || LiveMark[B] == Stamp)
         continue;
+      if (StoreMark[B] == Stamp) {
+        // Mixed block: does a load come first? Decided once per block.
+        if (ScanMark[B] == Stamp)
+          continue;
+        ScanMark[B] = Stamp;
+        bool LoadFirst = false;
+        for (Instruction *I : *BB) {
+          if (auto *St = dyn_cast<StoreInst>(I);
+              St && St->getPointerOperand() == A)
+            break;
+          if (auto *Ld = dyn_cast<LoadInst>(I);
+              Ld && Ld->getPointerOperand() == A) {
+            LoadFirst = true;
+            break;
+          }
+        }
+        if (!LoadFirst)
+          continue;
       }
-      // Mixed block: does a load come first?
-      for (Instruction *I : *BB) {
-        if (auto *St = dyn_cast<StoreInst>(I);
-            St && St->getPointerOperand() == A)
-          break;
-        if (auto *Ld = dyn_cast<LoadInst>(I);
-            Ld && Ld->getPointerOperand() == A) {
-          UseBeforeDef.insert(BB);
-          break;
+      LiveMark[B] = Stamp;
+      Worklist.push_back(B);
+    }
+    // Backward closure through store-free blocks.
+    while (!Worklist.empty()) {
+      unsigned B = Worklist.back();
+      Worklist.pop_back();
+      for (unsigned Pred : CFG.predecessorNumbers(B)) {
+        if (StoreMark[Pred] == Stamp)
+          continue; // the store screens off entry liveness
+        if (LiveMark[Pred] != Stamp) {
+          LiveMark[Pred] = Stamp;
+          Worklist.push_back(Pred);
         }
       }
     }
-    // Backward closure through store-free blocks.
-    std::set<BasicBlock *> LiveIn = UseBeforeDef;
-    std::vector<BasicBlock *> Worklist(UseBeforeDef.begin(),
-                                       UseBeforeDef.end());
-    while (!Worklist.empty()) {
-      BasicBlock *BB = Worklist.back();
-      Worklist.pop_back();
-      for (BasicBlock *Pred : DT.getCFG().predecessors(BB)) {
-        if (HasStore.count(Pred))
-          continue; // the store screens off entry liveness
-        if (LiveIn.insert(Pred).second)
-          Worklist.push_back(Pred);
-      }
-    }
-    return LiveIn;
   }
 
   Value *undefFor(AllocaInst *A) {
@@ -150,8 +159,14 @@ private:
     return Ctx.getUndef(A->getAllocatedType());
   }
 
+  /// The slot owning \p Ptr's loads and stores, or -1.
+  int slotOf(Value *Ptr) const {
+    auto It = SlotIndex.find(dyn_cast<AllocaInst>(Ptr));
+    return It == SlotIndex.end() ? -1 : int(It->second);
+  }
+
   void renameFromEntry() {
-    // Iterative DFS over the dominator tree carrying per-slot value stacks.
+    // Iterative DFS over the CFG carrying per-slot value stacks.
     size_t N = Allocas.size();
     std::vector<Value *> Incoming(N, nullptr);
     for (unsigned I = 0; I < N; ++I)
@@ -163,39 +178,39 @@ private:
     };
     std::vector<Frame> Worklist;
     Worklist.push_back({F.getEntryBlock(), std::move(Incoming)});
-    std::set<BasicBlock *> Visited;
+    std::vector<bool> Visited(CFG.getNumReachableBlocks(), false);
+    // FedFrom[S] == B: block S's phis already hold B's entry (a
+    // terminator naming S twice feeds it once).
+    std::vector<unsigned> FedFrom(CFG.getNumReachableBlocks(),
+                                  CFGInfo::Unreachable);
 
     while (!Worklist.empty()) {
       Frame Fr = std::move(Worklist.back());
       Worklist.pop_back();
-      if (!Visited.insert(Fr.BB).second)
-        continue;
       BasicBlock *BB = Fr.BB;
+      unsigned B = CFG.getNumber(BB);
+      if (Visited[B])
+        continue;
+      Visited[B] = true;
       std::vector<Value *> &Cur = Fr.Values;
 
+      for (auto &[P, Slot] : SlotPhis[B])
+        Cur[Slot] = P;
       for (auto It = BB->begin(); It != BB->end();) {
         Instruction *I = *It++;
-        if (auto *P = dyn_cast<PhiInst>(I)) {
-          auto PhiIt = PhiSlot.find(P);
-          if (PhiIt != PhiSlot.end())
-            Cur[PhiIt->second] = P;
-          continue;
-        }
         if (auto *L = dyn_cast<LoadInst>(I)) {
-          auto SIt = SlotIndex.find(
-              dyn_cast<AllocaInst>(L->getPointerOperand()));
-          if (SIt != SlotIndex.end()) {
-            L->replaceAllUsesWith(Cur[SIt->second]);
+          int Slot = slotOf(L->getPointerOperand());
+          if (Slot >= 0) {
+            L->replaceAllUsesWith(Cur[Slot]);
             L->eraseFromParent();
             ++Stats.LoadsRemoved;
           }
           continue;
         }
         if (auto *S = dyn_cast<StoreInst>(I)) {
-          auto SIt = SlotIndex.find(
-              dyn_cast<AllocaInst>(S->getPointerOperand()));
-          if (SIt != SlotIndex.end()) {
-            Cur[SIt->second] = S->getValueOperand();
+          int Slot = slotOf(S->getPointerOperand());
+          if (Slot >= 0) {
+            Cur[Slot] = S->getValueOperand();
             S->eraseFromParent();
             ++Stats.StoresRemoved;
           }
@@ -214,14 +229,17 @@ private:
       // a block from a non-dominating path must go through a placed phi,
       // which resets Cur for that slot.
       for (BasicBlock *Succ : BB->successors()) {
-        for (PhiInst *P : Succ->phis()) {
-          auto PhiIt = PhiSlot.find(P);
-          if (PhiIt == PhiSlot.end())
-            continue;
-          if (P->indexOfBlock(BB) < 0)
-            P->addIncoming(Cur[PhiIt->second], BB);
+        unsigned S = CFG.getNumber(Succ);
+        if (FedFrom[S] != B) {
+          FedFrom[S] = B;
+          // Slot phis sit at the block head in reverse placement order;
+          // feeding them in block order keeps the values' use lists in
+          // the order a walk over the block's phis produces.
+          const auto &Phis = SlotPhis[S];
+          for (auto It = Phis.rbegin(); It != Phis.rend(); ++It)
+            It->first->addIncoming(Cur[It->second], BB);
         }
-        if (!Visited.count(Succ))
+        if (!Visited[S])
           Worklist.push_back({Succ, Cur});
       }
     }
@@ -229,13 +247,17 @@ private:
 
   void cleanup() {
     // Edges from unreachable blocks are never walked by renaming, so their
-    // phi entries are missing; fill them with undef (they can never
-    // execute), then drop the now-unused allocas.
-    for (auto &[P, Slot] : PhiSlot) {
-      (void)Slot;
-      for (BasicBlock *Pred : P->getParent()->predecessors())
-        if (P->indexOfBlock(Pred) < 0)
-          P->addIncoming(Ctx.getUndef(P->getType()), Pred);
+    // phi entries are missing (every reachable predecessor was visited and
+    // fed its entry); fill them with undef (they can never execute), in
+    // layout order, then drop the now-unused allocas.
+    if (!PlacedPhis.empty() && CFG.getNumReachableBlocks() < F.getNumBlocks()) {
+      PredecessorMap AllPreds(F);
+      for (PhiInst *P : PlacedPhis)
+        for (BasicBlock *Pred : AllPreds.predecessors(P->getParent()))
+          if (!CFG.isReachable(Pred)) {
+            assert(P->indexOfBlock(Pred) < 0 && "unreachable edge was fed");
+            P->addIncoming(Ctx.getUndef(P->getType()), Pred);
+          }
     }
     for (AllocaInst *A : Allocas) {
       // Loads/stores in unreachable code are never renamed; dissolve them
@@ -260,8 +282,14 @@ private:
   Context &Ctx;
   std::vector<AllocaInst *> Allocas;
   DominatorTree DT;
-  std::map<const AllocaInst *, unsigned> SlotIndex;
-  std::map<PhiInst *, unsigned> PhiSlot;
+  const CFGInfo &CFG;
+  std::unordered_map<const AllocaInst *, unsigned> SlotIndex;
+  /// Per block number, the slot phis placed there, in placement order.
+  std::vector<std::vector<std::pair<PhiInst *, unsigned>>> SlotPhis;
+  std::vector<PhiInst *> PlacedPhis;
+  /// Per block number, the stamp of the last slot that stores there, is
+  /// live into it, or had its load/store order scanned there.
+  std::vector<unsigned> StoreMark, LiveMark, ScanMark;
   Mem2RegStats Stats;
 };
 

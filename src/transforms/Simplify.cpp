@@ -10,6 +10,9 @@
 #include "ir/IRBuilder.h"
 #include "ir/Module.h"
 #include <algorithm>
+#include <optional>
+#include <set>
+#include <unordered_set>
 
 using namespace salssa;
 
@@ -253,17 +256,17 @@ Value *salssa::simplifyInstructionValue(Instruction *I, Context &Ctx) {
 unsigned salssa::removeUnreachableBlocks(Function &F) {
   if (F.isDeclaration())
     return 0;
-  std::set<const BasicBlock *> Reachable = reachableBlocks(F);
+  CFGInfo CFG(F);
+  if (CFG.getNumReachableBlocks() == F.getNumBlocks())
+    return 0;
   std::vector<BasicBlock *> Dead;
   for (BasicBlock *BB : F)
-    if (!Reachable.count(BB))
+    if (!CFG.isReachable(BB))
       Dead.push_back(BB);
-  if (Dead.empty())
-    return 0;
   // Remove phi entries in surviving blocks that came from dead edges.
   for (BasicBlock *BB : Dead)
     for (BasicBlock *Succ : BB->successors())
-      if (Reachable.count(Succ))
+      if (CFG.isReachable(Succ))
         Succ->removePredecessorEntries(BB);
   // Sever all cross references, then delete.
   for (BasicBlock *BB : Dead)
@@ -274,20 +277,33 @@ unsigned salssa::removeUnreachableBlocks(Function &F) {
 }
 
 unsigned salssa::eliminateDeadCode(Function &F, bool PreserveTraps) {
-  unsigned Removed = 0;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (BasicBlock *BB : F) {
-      for (auto It = BB->begin(); It != BB->end();) {
-        Instruction *I = *It++;
-        if (I->isSideEffectFree() && !I->hasUses() &&
-            !(PreserveTraps && I->mayTrap())) {
-          I->eraseFromParent();
-          ++Removed;
-          Changed = true;
-        }
+  auto IsDead = [&](const Instruction *I) {
+    return I->isSideEffectFree() && !I->hasUses() &&
+           !(PreserveTraps && I->mayTrap());
+  };
+  // Worklist to the unique fixpoint: erasing an instruction can only make
+  // its operands dead. Erase order cannot reorder any survivor's use list
+  // (Value::removeUser erases in place), so it is not observable.
+  std::vector<Instruction *> Worklist;
+  std::unordered_set<const Instruction *> Queued;
+  for (BasicBlock *BB : F)
+    for (Instruction *I : *BB)
+      if (IsDead(I)) {
+        Worklist.push_back(I);
+        Queued.insert(I);
       }
+  unsigned Removed = 0;
+  std::vector<Value *> Operands;
+  while (!Worklist.empty()) {
+    Instruction *I = Worklist.back();
+    Worklist.pop_back();
+    Operands = I->operands();
+    I->eraseFromParent();
+    ++Removed;
+    for (Value *Op : Operands) {
+      auto *OI = dyn_cast<Instruction>(Op);
+      if (OI && IsDead(OI) && Queued.insert(OI).second)
+        Worklist.push_back(OI);
     }
   }
 
@@ -295,25 +311,25 @@ unsigned salssa::eliminateDeadCode(Function &F, bool PreserveTraps) {
   // no-uses test above. Keep the phis transitively reachable (through use
   // edges) from non-phi users; drop the rest as a group.
   std::vector<PhiInst *> AllPhis;
-  std::set<PhiInst *> Live;
-  std::vector<PhiInst *> Worklist;
+  std::unordered_set<const PhiInst *> Live;
+  std::vector<PhiInst *> PhiWorklist;
   for (BasicBlock *BB : F)
     for (PhiInst *P : BB->phis()) {
       AllPhis.push_back(P);
       for (const User *U : P->users())
         if (!isa<PhiInst>(U)) {
           if (Live.insert(P).second)
-            Worklist.push_back(P);
+            PhiWorklist.push_back(P);
           break;
         }
     }
-  while (!Worklist.empty()) {
-    PhiInst *P = Worklist.back();
-    Worklist.pop_back();
+  while (!PhiWorklist.empty()) {
+    PhiInst *P = PhiWorklist.back();
+    PhiWorklist.pop_back();
     for (unsigned K = 0; K < P->getNumIncoming(); ++K)
       if (auto *In = dyn_cast<PhiInst>(P->getIncomingValue(K)))
         if (Live.insert(In).second)
-          Worklist.push_back(In);
+          PhiWorklist.push_back(In);
   }
   std::vector<PhiInst *> Dead;
   for (PhiInst *P : AllPhis)
@@ -395,15 +411,19 @@ bool foldBranches(Function &F, Context &Ctx, SimplifyStats &Stats) {
 }
 
 /// Merges \p BB into its unique predecessor when the predecessor
-/// unconditionally branches to it and has no other successors.
+/// unconditionally branches to it and has no other successors. One
+/// predecessor map serves the pass: after each merge, the merged block's
+/// successors name its predecessor instead, so later blocks see the
+/// predecessors earlier merges left.
 bool mergeBlocksIntoPredecessors(Function &F, Context &Ctx,
                                  SimplifyStats &Stats) {
   bool Changed = false;
+  PredecessorMap PredMap(F);
   for (auto It = F.begin(); It != F.end();) {
     BasicBlock *BB = *It++;
     if (BB == F.getEntryBlock())
       continue;
-    std::vector<BasicBlock *> Preds = BB->predecessors();
+    const std::vector<BasicBlock *> &Preds = PredMap.predecessors(BB);
     if (Preds.size() != 1)
       continue;
     BasicBlock *Pred = Preds.front();
@@ -431,8 +451,11 @@ bool mergeBlocksIntoPredecessors(Function &F, Context &Ctx,
       I->insertAtEnd(Pred);
     }
     // Successor phis now flow from Pred.
-    for (BasicBlock *Succ : Pred->successors())
+    for (BasicBlock *Succ : Pred->successors()) {
       Succ->replacePhiUsesWith(BB, Pred);
+      PredMap.removePredecessor(Succ, BB);
+      PredMap.addPredecessor(Succ, Pred);
+    }
     BB->eraseFromParent();
     ++Stats.BlocksRemoved;
     Changed = true;
@@ -442,9 +465,13 @@ bool mergeBlocksIntoPredecessors(Function &F, Context &Ctx,
 
 /// Removes blocks that contain only an unconditional branch by rerouting
 /// their predecessors directly to the destination (LLVM's
-/// TryToSimplifyUncondBranchFromEmptyBlock, conservative variant).
+/// TryToSimplifyUncondBranchFromEmptyBlock, conservative variant). One
+/// predecessor map serves the pass, built at the first candidate and kept
+/// in layout order across reroutes (the destination's phis gain entries
+/// in that order).
 bool threadTrivialBlocks(Function &F, SimplifyStats &Stats) {
   bool Changed = false;
+  std::optional<PredecessorMap> PredMap;
   for (auto It = F.begin(); It != F.end();) {
     BasicBlock *BB = *It++;
     if (BB == F.getEntryBlock())
@@ -457,7 +484,9 @@ bool threadTrivialBlocks(Function &F, SimplifyStats &Stats) {
     BasicBlock *Dest = Br->getTrueDest();
     if (Dest == BB)
       continue;
-    std::vector<BasicBlock *> Preds = BB->predecessors();
+    if (!PredMap)
+      PredMap.emplace(F);
+    const std::vector<BasicBlock *> Preds = PredMap->predecessors(BB);
     if (Preds.empty())
       continue; // unreachable; left to removeUnreachableBlocks
     // Phi-consistency precondition: a pred that already reaches Dest must
@@ -493,8 +522,11 @@ bool threadTrivialBlocks(Function &F, SimplifyStats &Stats) {
         if (Phi->indexOfBlock(P) < 0)
           Phi->addIncoming(V, P);
     }
-    for (BasicBlock *P : Preds)
+    PredMap->removePredecessor(Dest, BB);
+    for (BasicBlock *P : Preds) {
       P->getTerminator()->replaceSuccessorWith(BB, Dest);
+      PredMap->addPredecessor(Dest, P);
+    }
     BB->dropAllBlockReferences();
     BB->eraseFromParent();
     ++Stats.BlocksRemoved;
@@ -543,11 +575,11 @@ bool mergeIdenticalPhis(Function &F, SimplifyStats &Stats) {
 }
 
 /// One round of per-instruction simplification. Instruction-level RAUW
-/// never changes the CFG, so one dominator tree serves the whole round
-/// (used for the dominance-guarded phi fold).
+/// never changes the CFG, so one dominator tree serves the whole round; it
+/// is built on the first dominance-guarded phi fold that needs it.
 bool simplifyInstructions(Function &F, Context &Ctx, SimplifyStats &Stats) {
   bool Changed = false;
-  DominatorTree DT(F);
+  std::optional<DominatorTree> DT;
   for (BasicBlock *BB : F) {
     for (auto It = BB->begin(); It != BB->end();) {
       Instruction *I = *It++;
@@ -562,6 +594,8 @@ bool simplifyInstructions(Function &F, Context &Ctx, SimplifyStats &Stats) {
         auto *CI = dyn_cast_or_null<Instruction>(Common);
         if (!CI)
           continue;
+        if (!DT)
+          DT.emplace(F);
         bool DominatesAllUsers = true;
         for (const User *U : P->users()) {
           const auto *UI = cast<Instruction>(U);
@@ -571,11 +605,11 @@ bool simplifyInstructions(Function &F, Context &Ctx, SimplifyStats &Stats) {
             // Must dominate the exit of every edge carrying the phi.
             for (unsigned K = 0; K < UP->getNumIncoming(); ++K)
               if (UP->getIncomingValue(K) == P &&
-                  !DT.dominatesBlockExit(CI, UP->getIncomingBlock(K))) {
+                  !DT->dominatesBlockExit(CI, UP->getIncomingBlock(K))) {
                 DominatesAllUsers = false;
                 break;
               }
-          } else if (!DT.dominates(CI, UI)) {
+          } else if (!DT->dominates(CI, UI)) {
             DominatesAllUsers = false;
           }
           if (!DominatesAllUsers)

@@ -11,7 +11,9 @@
 //   - a 4-module CrossModuleMerger session at ShardCount {1, 4} x
 //     NumThreads {1, 4};
 //   - a HashClustering session with a DecisionCachePath, cold then warm;
-//   - a MergeService driven through a 3-epoch edit script.
+//   - a MergeService driven through a 3-epoch edit script;
+//   - every attempt a serial run records on a pool with invokes,
+//     committed or discarded, regenerated through attemptMerge.
 //
 // The equality tests elsewhere compare one route against another inside
 // one build; these constants compare every route against history, so a
@@ -22,6 +24,7 @@
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
 #include "merge/CrossModuleMerger.h"
+#include "merge/FunctionMerger.h"
 #include "merge/MergeService.h"
 #include "workloads/EditScript.h"
 #include "workloads/Suites.h"
@@ -205,6 +208,83 @@ TEST(SessionDigestTest, MergeServiceEditScript) {
     H = digest(H, St.Session.Driver.Records, Mods);
   }
   expectDigest(H, 0xbd0af24f340a5cbfULL, "service 3 epochs");
+}
+
+TEST(SessionDigestTest, EveryAttemptOnAnInvokePool) {
+  // Winners are not the only bytes the generator makes: a discarded
+  // attempt's body decides profitability too. A serial SalSSA run over a
+  // pool with invokes records every attempt. A fresh copy of the pool
+  // then replays those records in order: each attempt is regenerated
+  // through attemptMerge into a staging module, its body and repair
+  // counters are folded in, and the recorded winners are committed so
+  // later attempts find the merged functions they name.
+  BenchmarkProfile P = profile("eh", 23, 40, 3);
+  P.InvokePercent = 12;
+  MergeDriverOptions DO = options(1, 1);
+  std::vector<MergeRecord> Records;
+  std::string DriverModule;
+  uint64_t H;
+  {
+    Context Ctx;
+    std::unique_ptr<Module> M = buildBenchmarkModule(P, Ctx);
+    MergeDriverStats S = runFunctionMerging(*M, DO);
+    ASSERT_GT(S.CommittedMerges, 0u);
+    H = digest(FnvBasis, S.Records, {M.get()});
+    Records = S.Records;
+    DriverModule = printModule(*M);
+  }
+
+  Context Ctx;
+  std::unique_ptr<Module> M = buildBenchmarkModule(P, Ctx);
+  Module Staging("staging", Ctx);
+  MergeCodeGenOptions CG = MergeCodeGenOptions::forTechnique(
+      DO.Technique, DO.EnablePhiCoalescing);
+  unsigned Discarded = 0, WithInvokes = 0;
+  // A slate is a run of records sharing Name1: all of its attempts see
+  // the same inputs, then its winner (if any) commits. Every attempt
+  // burns one merged-function name, as in the serial driver.
+  for (size_t First = 0, End; First < Records.size(); First = End) {
+    for (End = First; End < Records.size() &&
+                      Records[End].Name1 == Records[First].Name1;
+         ++End) {
+    }
+    std::vector<MergeAttempt> Slate;
+    std::vector<std::string> Names;
+    for (size_t K = First; K < End; ++K) {
+      const MergeRecord &R = Records[K];
+      Function *F1 = M->getFunction(R.Name1);
+      Function *F2 = M->getFunction(R.Name2);
+      ASSERT_TRUE(F1 && F2) << R.Name1 << " / " << R.Name2;
+      MergeAttempt A = attemptMerge(*F1, *F2, CG, DO.Arch, R.Stats.SizeF1,
+                                    R.Stats.SizeF2, &Staging);
+      ASSERT_TRUE(A.Valid && A.Gen.Merged) << R.Name1 << " / " << R.Name2;
+      EXPECT_TRUE(verifyFunction(*A.Gen.Merged).ok())
+          << verifyFunction(*A.Gen.Merged).str();
+      EXPECT_EQ(A.Stats.SizeMerged, R.Stats.SizeMerged)
+          << R.Name1 << " / " << R.Name2;
+      std::string Body = printFunction(*A.Gen.Merged);
+      WithInvokes += Body.find(" invoke ") != std::string::npos;
+      H = fnv1a(H, Body + std::to_string(A.Stats.RepairSlots) + "/" +
+                       std::to_string(A.Stats.CoalescedPairs) + "/" +
+                       std::to_string(A.Stats.SelectsInserted) + "\n");
+      Slate.push_back(std::move(A));
+      Names.push_back(M->makeUniqueName(R.Name1 + ".m"));
+    }
+    for (size_t K = First; K < End; ++K) {
+      MergeAttempt &A = Slate[K - First];
+      if (Records[K].Committed) {
+        adoptMergedFunction(A, *M, Names[K - First]);
+        commitMerge(A, Ctx);
+      } else {
+        discardMerge(A);
+        ++Discarded;
+      }
+    }
+  }
+  EXPECT_GT(Discarded, 0u);
+  EXPECT_GT(WithInvokes, 0u);
+  EXPECT_EQ(printModule(*M), DriverModule); // the replay is faithful
+  expectDigest(H, 0xbd7d45fbf26a4795ULL, "every attempt, invoke pool");
 }
 
 } // namespace

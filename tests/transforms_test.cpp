@@ -465,6 +465,285 @@ TEST(SimplifyTest, XorIdentities) {
 }
 
 //===----------------------------------------------------------------------===//
+// Pinned CFG edits: the clean-up passes keep predecessor maps current
+// through their own edits, and these printed outputs pin the edit order.
+//===----------------------------------------------------------------------===//
+
+/// A function `f(i32 %x, i1 %c, i1 %d)` plus a side-effecting `sink(i32)`
+/// that keeps blocks from being empty (and thus from being threaded).
+struct PinnedFunction {
+  Context Ctx;
+  Module M{"m", Ctx};
+  Function *Sink = nullptr;
+  Function *F = nullptr;
+  IRBuilder B{Ctx};
+
+  explicit PinnedFunction(const std::string &Name) {
+    Sink = M.createFunction(
+        "sink", Ctx.types().getFunctionTy(Ctx.voidTy(), {Ctx.int32Ty()}));
+    F = M.createFunction(
+        Name, Ctx.types().getFunctionTy(Ctx.int32Ty(), {Ctx.int32Ty(),
+                                                        Ctx.int1Ty(),
+                                                        Ctx.int1Ty()}));
+  }
+  BasicBlock *block(const std::string &Name) { return F->createBlock(Name); }
+  void sink(Value *V) { B.createCall(Sink, {V}); }
+  Value *x() { return F->getArg(0); }
+  Value *c() { return F->getArg(1); }
+  Value *d() { return F->getArg(2); }
+};
+
+TEST(PinnedEditsTest, MergeChainSeesEarlierMergesOfThePass) {
+  // k's only predecessor is j; merging k into j makes j the unique
+  // predecessor of m, which the same pass (walking layout order) then
+  // merges as well — its phi dissolves.
+  PinnedFunction P("chain");
+  Context &Ctx = P.Ctx;
+  BasicBlock *Entry = P.block("entry"), *L = P.block("l"), *R = P.block("r"),
+             *J = P.block("j"), *K = P.block("k"), *Mb = P.block("m"),
+             *N = P.block("n"), *Exit = P.block("exit");
+  IRBuilder &B = P.B;
+  B.setInsertPoint(Entry);
+  Value *A = B.createAdd(P.x(), Ctx.getInt32(1), "a");
+  P.sink(A);
+  B.createCondBr(P.c(), L, R);
+  B.setInsertPoint(L);
+  P.sink(Ctx.getInt32(1));
+  B.createBr(J);
+  B.setInsertPoint(R);
+  P.sink(Ctx.getInt32(2));
+  B.createBr(J);
+  B.setInsertPoint(J);
+  PhiInst *PJ = B.createPhi(Ctx.int32Ty(), "pj");
+  PJ->addIncoming(A, L);
+  PJ->addIncoming(P.x(), R);
+  P.sink(PJ);
+  B.createBr(K);
+  B.setInsertPoint(K);
+  P.sink(Ctx.getInt32(3));
+  B.createBr(Mb);
+  B.setInsertPoint(Mb);
+  PhiInst *PM = B.createPhi(Ctx.int32Ty(), "pm");
+  PM->addIncoming(PJ, K);
+  P.sink(PM);
+  B.createCondBr(P.d(), N, Exit);
+  B.setInsertPoint(N);
+  P.sink(Ctx.getInt32(4));
+  B.createBr(Exit);
+  B.setInsertPoint(Exit);
+  PhiInst *PE = B.createPhi(Ctx.int32Ty(), "pe");
+  PE->addIncoming(PM, Mb);
+  PE->addIncoming(Ctx.getInt32(9), N);
+  B.createRet(PE);
+  ASSERT_TRUE(verifyFunction(*P.F).ok()) << verifyFunction(*P.F).str();
+
+  SimplifyStats S = simplifyFunction(*P.F, Ctx);
+  ASSERT_TRUE(verifyFunction(*P.F).ok()) << verifyFunction(*P.F).str();
+  EXPECT_EQ(S.BlocksRemoved, 2u); // k, then m, into j
+  EXPECT_EQ(printFunction(*P.F), R"(define i32 @chain(i32 %arg0, i1 %arg1, i1 %arg2) {
+entry:
+  %a = add i32 %arg0, 1
+  call void @sink(%a)
+  br i1 %arg1, l, r
+l:
+  call void @sink(1)
+  br j
+r:
+  call void @sink(2)
+  br j
+j:
+  %pj = phi i32 [%a, l], [%arg0, r]
+  call void @sink(%pj)
+  call void @sink(3)
+  call void @sink(%pj)
+  br i1 %arg2, n, exit
+n:
+  call void @sink(4)
+  br exit
+exit:
+  %pe = phi i32 [%pj, j], [9, n]
+  ret i32 %pe
+}
+)");
+}
+
+TEST(PinnedEditsTest, ThreadingKeepsPredecessorLayoutOrder) {
+  // t holds only a branch. Its predecessors are entry (twice, through a
+  // switch), a and b; a already reaches dest with the same phi values as
+  // t, so threading is allowed, and the rerouted predecessors gain phi
+  // entries in layout order.
+  PinnedFunction P("thread");
+  Context &Ctx = P.Ctx;
+  BasicBlock *Entry = P.block("entry"), *A = P.block("a"),
+             *Bb = P.block("b"), *E = P.block("e"), *T = P.block("t"),
+             *Dest = P.block("dest");
+  IRBuilder &B = P.B;
+  B.setInsertPoint(Entry);
+  Value *V = B.createAdd(P.x(), Ctx.getInt32(5), "v");
+  SwitchInst *SW = B.createSwitch(P.x(), T);
+  SW->addCase(Ctx.getInt32(1), A);
+  SW->addCase(Ctx.getInt32(2), T);
+  SW->addCase(Ctx.getInt32(3), Bb);
+  SW->addCase(Ctx.getInt32(4), E);
+  B.setInsertPoint(A);
+  P.sink(Ctx.getInt32(1));
+  B.createCondBr(P.c(), T, Dest);
+  B.setInsertPoint(Bb);
+  P.sink(Ctx.getInt32(2));
+  B.createBr(T);
+  B.setInsertPoint(E);
+  Value *W = B.createMul(P.x(), P.x(), "w");
+  P.sink(W);
+  B.createBr(Dest);
+  B.setInsertPoint(T);
+  B.createBr(Dest);
+  B.setInsertPoint(Dest);
+  PhiInst *P1 = B.createPhi(Ctx.int32Ty(), "p1");
+  P1->addIncoming(V, A);
+  P1->addIncoming(W, E);
+  P1->addIncoming(V, T);
+  PhiInst *P2 = B.createPhi(Ctx.int32Ty(), "p2");
+  P2->addIncoming(Ctx.getInt32(7), T);
+  P2->addIncoming(Ctx.getInt32(7), A);
+  P2->addIncoming(Ctx.getInt32(8), E);
+  Value *Sum = B.createAdd(P1, P2, "sum");
+  B.createRet(Sum);
+  ASSERT_TRUE(verifyFunction(*P.F).ok()) << verifyFunction(*P.F).str();
+
+  SimplifyStats S = simplifyFunction(*P.F, Ctx);
+  ASSERT_TRUE(verifyFunction(*P.F).ok()) << verifyFunction(*P.F).str();
+  EXPECT_EQ(S.BlocksRemoved, 1u); // t
+  EXPECT_EQ(printFunction(*P.F), R"(define i32 @thread(i32 %arg0, i1 %arg1, i1 %arg2) {
+entry:
+  %v = add i32 %arg0, 5
+  switch i32 %arg0, default dest [1:a 2:dest 3:b 4:e]
+a:
+  call void @sink(1)
+  br dest
+b:
+  call void @sink(2)
+  br dest
+e:
+  %w = mul i32 %arg0, %arg0
+  call void @sink(%w)
+  br dest
+dest:
+  %p1 = phi i32 [%v, a], [%w, e], [%v, entry], [%v, b]
+  %p2 = phi i32 [7, a], [8, e], [7, entry], [7, b]
+  %sum = add i32 %p1, %p2
+  ret i32 %sum
+}
+)");
+}
+
+TEST(PinnedEditsTest, PromotionFillsEdgesFromUnreachableBlocks) {
+  // dead is unreachable and branches into the join, which needs phis for
+  // both slots: renaming gives the reachable edges their values in visit
+  // order, and clean-up appends undef for dead's edge.
+  PinnedFunction P("promote");
+  Context &Ctx = P.Ctx;
+  BasicBlock *Entry = P.block("entry"), *L = P.block("l"), *R = P.block("r"),
+             *Dead = P.block("dead"), *Join = P.block("join");
+  IRBuilder &B = P.B;
+  B.setInsertPoint(Entry);
+  AllocaInst *S1 = B.createAlloca(Ctx.int32Ty(), 1, "s1");
+  AllocaInst *S2 = B.createAlloca(Ctx.int32Ty(), 1, "s2");
+  B.createStore(Ctx.getInt32(1), S1);
+  B.createStore(P.x(), S2);
+  B.createCondBr(P.c(), L, R);
+  B.setInsertPoint(L);
+  B.createStore(Ctx.getInt32(2), S1);
+  B.createBr(Join);
+  B.setInsertPoint(R);
+  Value *Y = B.createAdd(P.x(), Ctx.getInt32(3), "y");
+  B.createStore(Y, S2);
+  B.createBr(Join);
+  B.setInsertPoint(Dead);
+  Value *Stale = B.createLoad(Ctx.int32Ty(), S2, "stale");
+  B.createStore(Stale, S1);
+  B.createBr(Join);
+  B.setInsertPoint(Join);
+  Value *V1 = B.createLoad(Ctx.int32Ty(), S1, "v1");
+  Value *V2 = B.createLoad(Ctx.int32Ty(), S2, "v2");
+  B.createRet(B.createAdd(V1, V2, "r"));
+  ASSERT_TRUE(verifyFunction(*P.F).ok()) << verifyFunction(*P.F).str();
+
+  Mem2RegStats St = promoteAllocas(*P.F, Ctx, {S1, S2});
+  ASSERT_TRUE(verifyFunction(*P.F).ok()) << verifyFunction(*P.F).str();
+  EXPECT_EQ(St.PromotedAllocas, 2u);
+  EXPECT_EQ(St.PhisInserted, 2u);
+  EXPECT_EQ(printFunction(*P.F), R"(define i32 @promote(i32 %arg0, i1 %arg1, i1 %arg2) {
+entry:
+  br i1 %arg1, l, r
+l:
+  br join
+r:
+  %y = add i32 %arg0, 3
+  br join
+dead:
+  br join
+join:
+  %s2.phi = phi i32 [%y, r], [%arg0, l], [undef, dead]
+  %s1.phi = phi i32 [1, r], [2, l], [undef, dead]
+  %r = add i32 %s1.phi, %s2.phi
+  ret i32 %r
+}
+)");
+}
+
+TEST(PinnedEditsTest, DeadCodeChainsAndPhiWebs) {
+  // The chain's dead root (c) follows its operands in layout order, so a
+  // single forward sweep cannot finish it; p and q only feed each other.
+  PinnedFunction P("dce");
+  Context &Ctx = P.Ctx;
+  BasicBlock *Entry = P.block("entry"), *Loop = P.block("loop"),
+             *Latch = P.block("latch"), *Exit = P.block("exit");
+  IRBuilder &B = P.B;
+  B.setInsertPoint(Entry);
+  Value *A = B.createAdd(P.x(), Ctx.getInt32(1), "a");
+  Value *Bv = B.createMul(A, Ctx.getInt32(2), "b");
+  B.createSub(Bv, A, "c");
+  Value *Kept = B.createAdd(P.x(), Ctx.getInt32(2), "kept");
+  B.createBr(Loop);
+  B.setInsertPoint(Loop);
+  PhiInst *Pp = B.createPhi(Ctx.int32Ty(), "p");
+  PhiInst *Live = B.createPhi(Ctx.int32Ty(), "live");
+  B.createAdd(Pp, Live, "usesweb"); // dead: its removal frees p
+  P.sink(Live);
+  B.createCondBr(P.c(), Latch, Exit);
+  B.setInsertPoint(Latch);
+  PhiInst *Q = B.createPhi(Ctx.int32Ty(), "q");
+  Q->addIncoming(Pp, Loop);
+  Value *Next = B.createAdd(Live, Ctx.getInt32(1), "next");
+  B.createBr(Loop);
+  Pp->addIncoming(Ctx.getInt32(0), Entry);
+  Pp->addIncoming(Q, Latch);
+  Live->addIncoming(Kept, Entry);
+  Live->addIncoming(Next, Latch);
+  B.setInsertPoint(Exit);
+  B.createRet(Live);
+  ASSERT_TRUE(verifyFunction(*P.F).ok()) << verifyFunction(*P.F).str();
+
+  EXPECT_EQ(eliminateDeadCode(*P.F), 6u);
+  ASSERT_TRUE(verifyFunction(*P.F).ok()) << verifyFunction(*P.F).str();
+  EXPECT_EQ(printFunction(*P.F), R"(define i32 @dce(i32 %arg0, i1 %arg1, i1 %arg2) {
+entry:
+  %kept = add i32 %arg0, 2
+  br loop
+loop:
+  %live = phi i32 [%kept, entry], [%next, latch]
+  call void @sink(%live)
+  br i1 %arg1, latch, exit
+latch:
+  %next = add i32 %live, 1
+  br loop
+exit:
+  ret i32 %live
+}
+)");
+}
+
+//===----------------------------------------------------------------------===//
 // Cloning
 //===----------------------------------------------------------------------===//
 
