@@ -97,7 +97,6 @@ private:
         P->setName(A->hasName() ? A->getName() + ".phi" : "m2r.phi");
         BB->insert(BB->begin(), P);
         SlotPhis[B].push_back({P, Slot});
-        PlacedPhis.push_back(P);
         ++Stats.PhisInserted;
       }
     }
@@ -250,14 +249,15 @@ private:
     // phi entries are missing (every reachable predecessor was visited and
     // fed its entry); fill them with undef (they can never execute), in
     // layout order, then drop the now-unused allocas.
-    if (!PlacedPhis.empty() && CFG.getNumReachableBlocks() < F.getNumBlocks()) {
+    if (Stats.PhisInserted && CFG.getNumReachableBlocks() < F.getNumBlocks()) {
       PredecessorMap AllPreds(F);
-      for (PhiInst *P : PlacedPhis)
-        for (BasicBlock *Pred : AllPreds.predecessors(P->getParent()))
-          if (!CFG.isReachable(Pred)) {
-            assert(P->indexOfBlock(Pred) < 0 && "unreachable edge was fed");
-            P->addIncoming(Ctx.getUndef(P->getType()), Pred);
-          }
+      for (const auto &Phis : SlotPhis)
+        for (auto &[P, Slot] : Phis)
+          for (BasicBlock *Pred : AllPreds.predecessors(P->getParent()))
+            if (!CFG.isReachable(Pred)) {
+              assert(P->indexOfBlock(Pred) < 0 && "unreachable edge was fed");
+              P->addIncoming(Ctx.getUndef(P->getType()), Pred);
+            }
     }
     for (AllocaInst *A : Allocas) {
       // Loads/stores in unreachable code are never renamed; dissolve them
@@ -286,7 +286,6 @@ private:
   std::unordered_map<const AllocaInst *, unsigned> SlotIndex;
   /// Per block number, the slot phis placed there, in placement order.
   std::vector<std::vector<std::pair<PhiInst *, unsigned>>> SlotPhis;
-  std::vector<PhiInst *> PlacedPhis;
   /// Per block number, the stamp of the last slot that stores there, is
   /// live into it, or had its load/store order scanned there.
   std::vector<unsigned> StoreMark, LiveMark, ScanMark;
