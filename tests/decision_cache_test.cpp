@@ -25,6 +25,8 @@
 //  6. A replayed winner runs through the live commit loop, so under
 //     armed faults its failures are counted and strike the quarantine
 //     ladder exactly like a live attempt's.
+//  7. The file bytes of one fixed cache are pinned, so a field moved in
+//     both save() and load() cannot pass as a round trip.
 //
 //===----------------------------------------------------------------------===//
 
@@ -596,6 +598,150 @@ TEST(DecisionCacheTest, RoundTripPreservesDecisionsExactly) {
   EXPECT_EQ(Refused.load(Path, 0xbeefULL, nullptr),
             DecisionCache::LoadOutcome::Rejected);
   EXPECT_TRUE(Refused.empty());
+  std::remove(Path.c_str());
+}
+
+std::string hexOf(const std::vector<uint8_t> &Bytes) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Out;
+  for (uint8_t B : Bytes) {
+    Out += Digits[B >> 4];
+    Out += Digits[B & 15];
+  }
+  return Out;
+}
+
+std::vector<uint8_t> hexBytes(const char *Hex) {
+  std::vector<uint8_t> Out;
+  auto nibble = [](char C) {
+    return C <= '9' ? C - '0' : C - 'a' + 10;
+  };
+  for (const char *P = Hex; *P && P[1]; P += 2)
+    Out.push_back(static_cast<uint8_t>(nibble(P[0]) << 4 | nibble(P[1])));
+  return Out;
+}
+
+// Round trips cannot see a change that moves the same field in save() and
+// load() alike, yet such a change silently turns every existing cache file
+// into a wrong replay. This pins the file bytes of one fixed cache (format
+// version 1); every field holds a distinct value, so swapping any two
+// fields changes the bytes.
+TEST(DecisionCacheTest, FileBytesArePinned) {
+  // A committed entry: the winner carries an alignment, the other
+  // attempt does not.
+  CachedAttempt Lose;
+  Lose.Partner = {{0x1112131415161718ULL, 0x191a1b1c1d1e1f20ULL}, 0x21};
+  Lose.Distance = 0x22;
+  Lose.ProfitObs = -3;
+  Lose.Profitable = false;
+  CachedAttempt Best;
+  Best.Partner = {{0x3132333435363738ULL, 0x393a3b3c3d3e3f40ULL}, 0x41};
+  Best.Distance = 0x42;
+  Best.ProfitObs = 0x43;
+  Best.Profitable = true;
+  Best.SeqLen1 = 0x44;
+  Best.SeqLen2 = 0x45;
+  Best.Align = {{0, 0}, {1, -1}, {-1, 1}};
+  CachedDecision Committed;
+  Committed.Attempts = {Lose, Best};
+  Committed.Winner = 1;
+  // An entry that recorded an Adaptive vote (tallied, shrink, no widen).
+  CachedAttempt Voter;
+  Voter.Partner = {{0x5152535455565758ULL, 0x595a5b5c5d5e5f60ULL}, 0x61};
+  Voter.Distance = 0x62;
+  Voter.ProfitObs = 0x63;
+  Voter.Profitable = true;
+  CachedDecision Voted;
+  Voted.Attempts = {Voter};
+  Voted.Winner = 0;
+  Voted.VoteTallied = true;
+  Voted.VoteShrink = true;
+  std::vector<DecisionCacheUpdate> Updates;
+  Updates.push_back({{{0x0102030405060708ULL, 0x090a0b0c0d0e0f10ULL}, 1},
+                     Committed});
+  Updates.push_back({{{0x0102030405060708ULL, 0x090a0b0c0d0e0f10ULL}, 2},
+                     CachedDecision{}}); // ranked dry: Winner -1
+  Updates.push_back({{{0x7172737475767778ULL, 0x797a7b7c7d7e7f80ULL}, 3},
+                     Voted});
+  DecisionCache Cache;
+  Cache.apply(std::move(Updates));
+
+  const std::vector<uint8_t> Want = hexBytes(
+      // magic "SALC", format version 1, options fingerprint
+      "53414c4301000000efcdab8967452301"
+      // payload size, payload checksum
+      "0a01000000000000463a0e92640e0a68"
+      // payload: entry count
+      "0300000000000000"
+      // committed entry: key (hash hi, hash lo, occurrence), winner 1,
+      // no vote flags, two attempts
+      "0807060504030201100f0e0d0c0b0a0901000000"
+      "010000000002000000"
+      //   losing attempt: partner key, distance, profit -3, unprofitable,
+      //   sequence lengths 0 and 0, no alignment
+      "1817161514131211201f1e1d1c1b1a1921000000"
+      "2200000000000000fdffffffffffffff00"
+      "000000000000000000000000"
+      //   winning attempt: partner key, distance, profit, profitable,
+      //   sequence lengths, three alignment pairs
+      "3837363534333231403f3e3d3c3b3a3941000000"
+      "4200000000000000430000000000000001"
+      "440000004500000003000000"
+      "000000000000000001000000ffffffffffffffff01000000"
+      // dry entry: key, winner -1, no vote flags, no attempts
+      "0807060504030201100f0e0d0c0b0a0902000000"
+      "ffffffff0000000000"
+      // voting entry: key, winner 0, tallied + shrink, one attempt
+      "7877767574737271807f7e7d7c7b7a7903000000"
+      "000000000301000000"
+      "5857565554535251605f5e5d5c5b5a5961000000"
+      "6200000000000000630000000000000001"
+      "000000000000000000000000");
+  std::string Path = cachePath("golden");
+  ASSERT_TRUE(Cache.save(Path, 0x0123456789abcdefULL, nullptr));
+  EXPECT_EQ(hexOf(fileBytes(Path)), hexOf(Want));
+
+  ASSERT_TRUE(writeFileBytes(Path, Want));
+  DecisionCache Loaded;
+  ASSERT_EQ(Loaded.load(Path, 0x0123456789abcdefULL, nullptr),
+            DecisionCache::LoadOutcome::Loaded);
+  ASSERT_EQ(Loaded.size(), 3u);
+  const CachedDecision *C =
+      Loaded.lookup({{0x0102030405060708ULL, 0x090a0b0c0d0e0f10ULL}, 1});
+  ASSERT_NE(C, nullptr);
+  EXPECT_EQ(C->Winner, 1);
+  EXPECT_FALSE(C->VoteTallied);
+  ASSERT_EQ(C->Attempts.size(), 2u);
+  EXPECT_EQ(C->Attempts[0].Partner, Lose.Partner);
+  EXPECT_EQ(C->Attempts[0].Distance, Lose.Distance);
+  EXPECT_EQ(C->Attempts[0].ProfitObs, Lose.ProfitObs);
+  EXPECT_FALSE(C->Attempts[0].Profitable);
+  EXPECT_TRUE(C->Attempts[0].Align.empty());
+  EXPECT_EQ(C->Attempts[1].Partner, Best.Partner);
+  EXPECT_EQ(C->Attempts[1].Distance, Best.Distance);
+  EXPECT_EQ(C->Attempts[1].ProfitObs, Best.ProfitObs);
+  EXPECT_TRUE(C->Attempts[1].Profitable);
+  EXPECT_EQ(C->Attempts[1].SeqLen1, Best.SeqLen1);
+  EXPECT_EQ(C->Attempts[1].SeqLen2, Best.SeqLen2);
+  EXPECT_EQ(C->Attempts[1].Align, Best.Align);
+  const CachedDecision *Dry =
+      Loaded.lookup({{0x0102030405060708ULL, 0x090a0b0c0d0e0f10ULL}, 2});
+  ASSERT_NE(Dry, nullptr);
+  EXPECT_EQ(Dry->Winner, -1);
+  EXPECT_TRUE(Dry->Attempts.empty());
+  const CachedDecision *V =
+      Loaded.lookup({{0x7172737475767778ULL, 0x797a7b7c7d7e7f80ULL}, 3});
+  ASSERT_NE(V, nullptr);
+  EXPECT_EQ(V->Winner, 0);
+  EXPECT_TRUE(V->VoteTallied);
+  EXPECT_TRUE(V->VoteShrink);
+  EXPECT_FALSE(V->VoteWiden);
+  ASSERT_EQ(V->Attempts.size(), 1u);
+  EXPECT_EQ(V->Attempts[0].Partner, Voter.Partner);
+  EXPECT_EQ(V->Attempts[0].ProfitObs, Voter.ProfitObs);
+  // Saving what was loaded writes the pinned bytes again.
+  ASSERT_TRUE(Loaded.save(Path, 0x0123456789abcdefULL, nullptr));
+  EXPECT_EQ(hexOf(fileBytes(Path)), hexOf(Want));
   std::remove(Path.c_str());
 }
 

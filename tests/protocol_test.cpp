@@ -14,6 +14,8 @@
 //   - every request/response struct round-trips byte-exactly and
 //     rejects truncated bodies cleanly;
 //   - the version-mismatch handshake carries the daemon version;
+//   - golden bytes: one fixed value of each header, request, response
+//     and error payload encodes to pinned bytes and decodes back;
 //   - ApplyTokenCache is idempotent (first response wins) and bounded
 //     (FIFO eviction).
 //
@@ -371,6 +373,279 @@ TEST(Errors, EveryEnumeratorHasAName) {
     EXPECT_STRNE(requestKindName(static_cast<RequestKind>(K)), "Unknown");
   for (int S = 0; S <= 10; ++S)
     EXPECT_STRNE(statusCodeName(static_cast<StatusCode>(S)), "Unknown");
+}
+
+//===----------------------------------------------------------------------===//
+// Golden bytes
+//===----------------------------------------------------------------------===//
+//
+// Round trips cannot see a change that moves the same field in the encoder
+// and the decoder alike, yet such a change breaks every old peer. These
+// tests pin the bytes of one fixed value per wire layout; every field holds
+// a distinct value, so swapping any two fields changes the bytes. The hex
+// literals were captured from the protocol-version-2 codec and must only
+// change together with ProtocolVersion.
+
+std::vector<uint8_t> hexBytes(const char *Hex) {
+  std::vector<uint8_t> Out;
+  auto nibble = [](char C) {
+    return C <= '9' ? C - '0' : C - 'a' + 10;
+  };
+  for (const char *P = Hex; *P && P[1]; P += 2)
+    Out.push_back(static_cast<uint8_t>(nibble(P[0]) << 4 | nibble(P[1])));
+  return Out;
+}
+
+std::string hexOf(const std::vector<uint8_t> &Bytes) {
+  static const char Digits[] = "0123456789abcdef";
+  std::string Out;
+  for (uint8_t B : Bytes) {
+    Out += Digits[B >> 4];
+    Out += Digits[B & 15];
+  }
+  return Out;
+}
+
+template <typename T> std::vector<uint8_t> bodyBytes(const T &V) {
+  ByteWriter W;
+  V.encode(W);
+  return W.buffer();
+}
+
+/// \p V must encode to \p Hex, and \p Hex must decode (consumed exactly)
+/// to a value that encodes to \p Hex again.
+template <typename T> void expectGoldenBody(const T &V, const char *Hex) {
+  const std::vector<uint8_t> Want = hexBytes(Hex);
+  EXPECT_EQ(hexOf(bodyBytes(V)), hexOf(Want));
+  T Back;
+  ByteReader R(Want.data(), Want.size());
+  ASSERT_TRUE(Back.decode(R));
+  EXPECT_TRUE(R.atEnd());
+  EXPECT_EQ(hexOf(bodyBytes(Back)), hexOf(Want));
+}
+
+RegisterModulesRequest goldenRegister() {
+  RegisterModulesRequest RM;
+  RM.Profile.Name = "gold";
+  RM.Profile.NumFunctions = 101;
+  RM.Profile.MinSize = 102;
+  RM.Profile.AvgSize = 103;
+  RM.Profile.MaxSize = 104;
+  RM.Profile.CloneFamilyPercent = 105;
+  RM.Profile.MinFamily = 106;
+  RM.Profile.MaxFamily = 107;
+  RM.Profile.FamilyDriftPercent = 108;
+  RM.Profile.SyntacticDriftPercent = 109;
+  RM.Profile.LoopPercent = 110;
+  RM.Profile.InvokePercent = 111;
+  RM.Profile.GiantPairSize = 112;
+  RM.Profile.RetTypeVariety = 113;
+  RM.Profile.Seed = 0x0102030405060708ULL;
+  RM.NumModules = 201;
+  RM.Selection = SelectionStrategy::Adaptive;
+  RM.NumThreads = 202;
+  RM.ShardCount = 203;
+  RM.ExplorationThreshold = 204;
+  RM.Host = HostPolicy::Biggest;
+  RM.HashClustering = true;
+  RM.Canonicalize = false;
+  RM.DecisionCachePath = "dc";
+  RM.QuarantineDecayEpochs = 205;
+  return RM;
+}
+
+ApplyDeltaRequest goldenApply() {
+  ApplyDeltaRequest AR;
+  AR.Token = 0x1112131415161718ULL;
+  AR.Spec.Deletes.push_back({EditOp::Delete, 1, "d", 0x21});
+  AR.Spec.Changes.push_back({EditOp::Change, 2, "c1", 0x22});
+  AR.Spec.Changes.push_back({EditOp::Change, 3, "c2", 0x23});
+  AR.Spec.Adds.push_back({EditOp::Add, 4, "a", 0x24});
+  AR.Spec.Drift.MutatePercent = 31;
+  AR.Spec.Drift.InsertPercent = 32;
+  AR.Spec.Drift.SyntacticPercent = 33;
+  AR.Spec.Generate.TargetSize = 41;
+  AR.Spec.Generate.ControlFlowPercent = 42;
+  AR.Spec.Generate.LoopPercent = 43;
+  AR.Spec.Generate.JoinPhiPercent = 44;
+  AR.Spec.Generate.InvokePercent = 45;
+  AR.Spec.Generate.MaxDepth = 46;
+  AR.Spec.Generate.RetTypeVariety = 47;
+  return AR;
+}
+
+StatsSnapshot goldenStats() {
+  StatsSnapshot S;
+  S.Epoch = 51;
+  S.FullRemerges = 52;
+  S.HostReelections = 53;
+  S.QuarantinedCount = 54;
+  S.Attempts = 55;
+  S.CommittedMerges = 56;
+  S.CrossModuleMerges = 57;
+  S.SizeBefore = 58;
+  S.SizeAfter = 59;
+  S.CacheHits = 60;
+  S.HashClusterCommits = 61;
+  S.DegradedToFullRemerge = true;
+  S.HostReelected = false;
+  S.ModuleDigest = 0x6162636465666768ULL;
+  return S;
+}
+
+DaemonCounters goldenCounters() {
+  DaemonCounters C;
+  C.Connections = 71;
+  C.RequestsServed = 72;
+  C.DeltasApplied = 73;
+  C.TokenReplays = 74;
+  C.HealedBatches = 75;
+  C.DeadlineExpirations = 76;
+  C.ProtocolFaultsInjected = 77;
+  C.RequestErrors = 78;
+  return C;
+}
+
+TEST(GoldenBytes, PayloadHeaders) {
+  ByteWriter Req;
+  encodeRequestHeader(Req, {RequestKind::ApplyDelta, 0x0102030405060708ULL,
+                            0x0a0b0c0d});
+  const char *ReqHex = "04"                // kind
+                       "0807060504030201"  // requestId
+                       "0d0c0b0a";         // deadlineMillis
+  EXPECT_EQ(hexOf(Req.buffer()), ReqHex);
+  std::vector<uint8_t> ReqBytes = hexBytes(ReqHex);
+  ByteReader RR(ReqBytes.data(), ReqBytes.size());
+  WireRequestHeader H;
+  ASSERT_TRUE(decodeRequestHeader(RR, H));
+  EXPECT_TRUE(RR.atEnd());
+  EXPECT_EQ(H.Kind, RequestKind::ApplyDelta);
+  EXPECT_EQ(H.RequestId, 0x0102030405060708ULL);
+  EXPECT_EQ(H.DeadlineMillis, 0x0a0b0c0du);
+
+  ByteWriter Resp;
+  encodeResponseHeader(Resp, {RequestKind::QueryStats, 0x1112131415161718ULL,
+                              StatusCode::NoBatch});
+  const char *RespHex = "05"                // kind
+                        "1817161514131211"  // requestId
+                        "07";               // status
+  EXPECT_EQ(hexOf(Resp.buffer()), RespHex);
+  std::vector<uint8_t> RespBytes = hexBytes(RespHex);
+  ByteReader RS(RespBytes.data(), RespBytes.size());
+  WireResponseHeader RH;
+  ASSERT_TRUE(decodeResponseHeader(RS, RH));
+  EXPECT_TRUE(RS.atEnd());
+  EXPECT_EQ(RH.Kind, RequestKind::QueryStats);
+  EXPECT_EQ(RH.RequestId, 0x1112131415161718ULL);
+  EXPECT_EQ(RH.Status, StatusCode::NoBatch);
+}
+
+TEST(GoldenBytes, RequestBodies) {
+  expectGoldenBody(goldenRegister(),
+                   "04000000676f6c64"                 // profile name
+                   "6500000066000000670000006800000069000000"
+                   "6a0000006b0000006c0000006d0000006e000000"
+                   "6f0000007000000071000000"         // 13 profile u32s
+                   "0807060504030201"                 // profile seed
+                   "c9000000"                         // numModules
+                   "02"                               // selection
+                   "ca000000cb000000cc000000"         // threads .. threshold
+                   "01"                               // host
+                   "0100"                             // hashing, canonicalize
+                   "020000006463"                     // decisionCachePath
+                   "cd000000");                       // quarantineDecayEpochs
+  CheckoutRequest CR;
+  CR.ModuleIdx = 0x01020304;
+  CR.Name = "fn";
+  expectGoldenBody(CR, "04030201"       // moduleIdx
+                       "02000000666e"); // name
+  expectGoldenBody(goldenApply(),
+                   "1817161514131211"                             // token
+                   "01000000"                                     // deletes
+                   "020100000001000000642100000000000000"
+                   "02000000"                                     // changes
+                   "00020000000200000063312200000000000000"
+                   "00030000000200000063322300000000000000"
+                   "01000000"                                     // adds
+                   "010400000001000000612400000000000000"
+                   "1f0000002000000021000000"                     // drift
+                   "290000002a0000002b0000002c0000002d000000"     // generate
+                   "2e0000002f000000");
+  QueryStatsRequest QR;
+  QR.IncludePrints = true;
+  expectGoldenBody(QR, "01");
+}
+
+TEST(GoldenBytes, ResponseBodies) {
+  expectGoldenBody(goldenStats(),
+                   "330000003400000035000000"                 // epoch .. hostReelections
+      "36000000000000003700000000000000"        // quarantined, attempts
+      "38000000000000003900000000000000"        // committed, crossModule
+      "3a000000000000003b00000000000000"        // sizeBefore, sizeAfter
+      "3c000000000000003d00000000000000"        // cacheHits, clusterCommits
+      "0100"                                    // degraded, hostReelected
+      "6867666564636261");
+  expectGoldenBody(goldenCounters(),
+                   "470000000000000048000000000000004900000000000000"
+      "4a000000000000004b000000000000004c00000000000000"
+      "4d000000000000004e00000000000000");
+  ApplyDeltaResponse AR;
+  AR.Stats = goldenStats();
+  AR.Replayed = true;
+  expectGoldenBody(AR, "330000003400000035000000"                 // epoch .. hostReelections
+      "36000000000000003700000000000000"        // quarantined, attempts
+      "38000000000000003900000000000000"        // committed, crossModule
+      "3a000000000000003b00000000000000"        // sizeBefore, sizeAfter
+      "3c000000000000003d00000000000000"        // cacheHits, clusterCommits
+      "0100"                                    // degraded, hostReelected
+      "6867666564636261"
+                       "01"); // replayed
+  QueryStatsResponse QR;
+  QR.Stats = goldenStats();
+  QR.Daemon = goldenCounters();
+  QR.Prints = "p!";
+  expectGoldenBody(QR, "330000003400000035000000"                 // epoch .. hostReelections
+      "36000000000000003700000000000000"        // quarantined, attempts
+      "38000000000000003900000000000000"        // committed, crossModule
+      "3a000000000000003b00000000000000"        // sizeBefore, sizeAfter
+      "3c000000000000003d00000000000000"        // cacheHits, clusterCommits
+      "0100"                                    // degraded, hostReelected
+      "6867666564636261"
+                       "470000000000000048000000000000004900000000000000"
+      "4a000000000000004b000000000000004c00000000000000"
+      "4d000000000000004e00000000000000"
+                       "020000007021"); // prints
+}
+
+TEST(GoldenBytes, ErrorPayloads) {
+  struct Case {
+    StatusCode Status;
+    const char *Hex;
+  };
+  for (const Case &C : {Case{StatusCode::VersionMismatch,
+                             "0321000000000000000234333231020000006e6f"},
+                        Case{StatusCode::UnknownFunction,
+                             "03210000000000000006020000006e6f"}}) {
+    SCOPED_TRACE(statusCodeName(C.Status));
+    std::vector<uint8_t> Payload =
+        buildErrorPayload({RequestKind::CheckoutForEdit, 0x21, 0}, C.Status,
+                          "no", 0x31323334);
+    EXPECT_EQ(hexOf(Payload), C.Hex);
+    std::vector<uint8_t> Want = hexBytes(C.Hex);
+    ByteReader R(Want.data(), Want.size());
+    WireResponseHeader Hdr;
+    ASSERT_TRUE(decodeResponseHeader(R, Hdr));
+    EXPECT_EQ(Hdr.Status, C.Status);
+    EXPECT_EQ(Hdr.RequestId, 0x21u);
+    uint32_t Version = 0;
+    std::string Message;
+    ASSERT_TRUE(decodeErrorBody(R, Hdr.Status, Version, Message));
+    EXPECT_TRUE(R.atEnd());
+    EXPECT_EQ(Version, C.Status == StatusCode::VersionMismatch
+                           ? 0x31323334u
+                           : ProtocolVersion);
+    EXPECT_EQ(Message, "no");
+  }
 }
 
 //===----------------------------------------------------------------------===//
