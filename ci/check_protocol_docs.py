@@ -12,7 +12,12 @@ appear in the spec:
   - every enumerator of RequestKind, StatusCode and FrameError
     (except the None sentinel);
   - every framing constant (ProtocolMagic, ProtocolVersion,
-    MaxFramePayloadBytes, FrameHeaderBytes).
+    MaxFramePayloadBytes, FrameHeaderBytes);
+  - every field of every wire layout, read from the one field list each
+    header and body declares (`template <typename IO> void fields(IO &F,
+    T &V) { F(V.A, V.B.C); }` — the last member name of each entry).
+    Fields match case-insensitively: the spec writes `numModules` for
+    the code's `NumModules`.
 
 This is deliberately a *presence* check, not a semantics check: it
 cannot prove the prose is right, only that the spec at least mentions
@@ -33,6 +38,9 @@ CONSTANT_RE = re.compile(
 ENUM_RE = re.compile(
     r"enum\s+class\s+(\w+)\s*:\s*\w+\s*\{(.*?)\};", re.DOTALL)
 ENUMERATOR_RE = re.compile(r"^\s*(\w+)\s*[=,]", re.MULTILINE)
+FIELD_LIST_RE = re.compile(
+    r"void\s+fields\s*\(\s*IO\s*&\s*\w*\s*,\s*(\w+)\s*&\s*(\w*)\s*\)"
+    r"\s*\{(.*?)\}", re.DOTALL)
 
 
 def header_surface(header_text):
@@ -50,6 +58,21 @@ def header_surface(header_text):
                 yield (enum, name)
     for name in CONSTANT_RE.findall(header_text):
         yield ("constant", name)
+    layouts = FIELD_LIST_RE.findall(header_text)
+    if not layouts:
+        # The field lists moved or changed shape: update the gate.
+        yield ("Protocol.h", "fields")
+    for layout, var, body in layouts:
+        if not var:
+            continue  # an empty layout names no field
+        for path in re.findall(r"\b" + var + r"((?:\.\w+)+)", body):
+            yield ("field:" + layout, path.split(".")[-1])
+
+
+def mentioned(context, name, spec_text):
+    """Whether the spec mentions name (field names case-insensitively)."""
+    flags = re.IGNORECASE if context.startswith("field:") else 0
+    return re.search(r"\b" + re.escape(name) + r"\b", spec_text, flags)
 
 
 def main(argv):
@@ -71,7 +94,7 @@ def main(argv):
     checked = 0
     for context, name in header_surface(header_text):
         checked += 1
-        if not re.search(r"\b" + re.escape(name) + r"\b", spec_text):
+        if not mentioned(context, name, spec_text):
             missing.append((context, name))
     for context, name in missing:
         print(f"drift: {context}::{name} is defined in "

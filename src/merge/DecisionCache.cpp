@@ -15,26 +15,46 @@ namespace {
 
 constexpr uint32_t CacheMagic = 0x434c4153; // "SALC" little-endian
 
+/// The fixed file header. Every field gates a load.
+struct FileHeader {
+  uint32_t Magic = 0;
+  uint32_t Version = 0;
+  uint64_t OptionsFP = 0;
+  uint64_t PayloadSize = 0;
+  uint64_t Checksum = 0; ///< fnv1a64 of the payload
+};
+
+template <typename IO> void fields(IO &F, FileHeader &H) {
+  F(H.Magic, H.Version, H.OptionsFP, H.PayloadSize, H.Checksum);
+}
+
 uint64_t mixOption(uint64_t H, uint64_t V) {
   H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
   return H;
 }
 
-void writeKey(ByteWriter &W, const DecisionKey &K) {
-  W.u64(K.Hash.Hi);
-  W.u64(K.Hash.Lo);
-  W.u32(K.Occ);
-}
-
-DecisionKey readKey(ByteReader &R) {
-  DecisionKey K;
-  K.Hash.Hi = R.u64();
-  K.Hash.Lo = R.u64();
-  K.Occ = R.u32();
-  return K;
-}
-
 } // namespace
+
+// --- Record layouts --------------------------------------------------------
+//
+// The payload is a u64 entry count, then every entry in key order as its
+// map pair: the DecisionKey, then the CachedDecision. Each record's fields
+// are listed once; save() and load() both walk them
+// (support/Serialization.h).
+
+template <typename IO> void fields(IO &F, DecisionKey &K) {
+  F(K.Hash.Hi, K.Hash.Lo, K.Occ);
+}
+
+template <typename IO> void fields(IO &F, CachedAttempt &A) {
+  F(A.Partner, A.Distance, A.ProfitObs, A.Profitable, A.SeqLen1, A.SeqLen2,
+    A.Align);
+}
+
+template <typename IO> void fields(IO &F, CachedDecision &D) {
+  F(D.Winner, bitFlags(D.VoteTallied, D.VoteShrink, D.VoteWiden),
+    D.Attempts);
+}
 
 uint64_t DecisionCache::optionsFingerprint(const MergeDriverOptions &O) {
   uint64_t H = DecisionCache::FormatVersion;
@@ -76,66 +96,25 @@ DecisionCache::load(const std::string &Path, uint64_t OptionsFP,
     return LoadOutcome::Rejected;
   }
 
-  // Header: magic | version | options fingerprint | payload size |
-  // payload checksum. Every field gates the load.
-  ByteReader Header(Bytes.data(), Bytes.size());
-  uint32_t Magic = Header.u32();
-  uint32_t Version = Header.u32();
-  uint64_t FP = Header.u64();
-  uint64_t PayloadSize = Header.u64();
-  uint64_t Checksum = Header.u64();
-  if (!Header.ok() || Magic != CacheMagic || Version != FormatVersion ||
-      FP != OptionsFP || PayloadSize != Header.remaining())
-    return LoadOutcome::Rejected;
-  const uint8_t *Payload = Bytes.data() + (Bytes.size() - PayloadSize);
-  if (fnv1a64(Payload, PayloadSize) != Checksum)
+  ByteReader R(Bytes.data(), Bytes.size());
+  FileHeader H;
+  if (!R(H) || H.Magic != CacheMagic || H.Version != FormatVersion ||
+      H.OptionsFP != OptionsFP || H.PayloadSize != R.remaining() ||
+      fnv1a64(Bytes.data() + (Bytes.size() - H.PayloadSize), H.PayloadSize) !=
+          H.Checksum)
     return LoadOutcome::Rejected;
 
-  ByteReader R(Payload, PayloadSize);
-  uint64_t Count = R.u64();
-  for (uint64_t I = 0; I < Count && R.ok(); ++I) {
-    DecisionKey Key = readKey(R);
-    CachedDecision D;
-    D.Winner = R.i32();
-    uint8_t Flags = R.u8();
-    D.VoteTallied = (Flags & 1) != 0;
-    D.VoteShrink = (Flags & 2) != 0;
-    D.VoteWiden = (Flags & 4) != 0;
-    uint32_t NumAttempts = R.u32();
-    // An attempt costs at least 30 bytes on disk; a count that cannot
-    // fit the remaining payload is corruption, caught before any
-    // allocation is sized by attacker-controlled data.
-    if (NumAttempts > R.remaining() / 30) {
-      Entries.clear();
-      return LoadOutcome::Rejected;
-    }
-    D.Attempts.resize(NumAttempts);
-    for (CachedAttempt &A : D.Attempts) {
-      A.Partner = readKey(R);
-      A.Distance = R.u64();
-      A.ProfitObs = R.i64();
-      A.Profitable = R.u8() != 0;
-      A.SeqLen1 = R.u32();
-      A.SeqLen2 = R.u32();
-      uint32_t AlignLen = R.u32();
-      if (AlignLen > R.remaining() / 8) {
-        Entries.clear();
-        return LoadOutcome::Rejected;
-      }
-      A.Align.resize(AlignLen);
-      for (auto &E : A.Align) {
-        E.first = R.i32();
-        E.second = R.i32();
-      }
-    }
-    if (D.Winner < -1 ||
-        D.Winner >= static_cast<int32_t>(D.Attempts.size())) {
-      Entries.clear();
-      return LoadOutcome::Rejected;
-    }
-    Entries.emplace(Key, std::move(D));
+  // A winner must index one of its entry's attempts (or be -1), and a key
+  // may appear once.
+  uint64_t Count = 0;
+  bool Ok = R(Count);
+  for (uint64_t I = 0; Ok && I < Count; ++I) {
+    std::pair<DecisionKey, CachedDecision> E;
+    Ok = R(E) && E.second.Winner >= -1 &&
+         E.second.Winner < static_cast<int32_t>(E.second.Attempts.size()) &&
+         Entries.emplace(std::move(E)).second;
   }
-  if (!R.ok() || !R.atEnd() || Entries.size() != Count) {
+  if (!Ok || !R.atEnd()) {
     Entries.clear();
     return LoadOutcome::Rejected;
   }
@@ -152,36 +131,12 @@ bool DecisionCache::save(const std::string &Path, uint64_t OptionsFP,
   }
 
   ByteWriter Payload;
-  Payload.u64(Entries.size());
-  for (const auto &[Key, D] : Entries) {
-    writeKey(Payload, Key);
-    Payload.i32(D.Winner);
-    Payload.u8(static_cast<uint8_t>((D.VoteTallied ? 1 : 0) |
-                                    (D.VoteShrink ? 2 : 0) |
-                                    (D.VoteWiden ? 4 : 0)));
-    Payload.u32(static_cast<uint32_t>(D.Attempts.size()));
-    for (const CachedAttempt &A : D.Attempts) {
-      writeKey(Payload, A.Partner);
-      Payload.u64(A.Distance);
-      Payload.i64(A.ProfitObs);
-      Payload.u8(A.Profitable ? 1 : 0);
-      Payload.u32(A.SeqLen1);
-      Payload.u32(A.SeqLen2);
-      Payload.u32(static_cast<uint32_t>(A.Align.size()));
-      for (const auto &E : A.Align) {
-        Payload.i32(E.first);
-        Payload.i32(E.second);
-      }
-    }
-  }
-
-  ByteWriter File;
-  File.u32(CacheMagic);
-  File.u32(FormatVersion);
-  File.u64(OptionsFP);
-  File.u64(Payload.size());
-  File.u64(fnv1a64(Payload.buffer().data(), Payload.size()));
-  std::vector<uint8_t> Bytes = File.buffer();
+  Payload(static_cast<uint64_t>(Entries.size()));
+  for (const auto &Entry : Entries)
+    Payload(Entry);
+  std::vector<uint8_t> Bytes = toBytes(FileHeader{
+      CacheMagic, FormatVersion, OptionsFP, Payload.size(),
+      fnv1a64(Payload.buffer().data(), Payload.size())});
   Bytes.insert(Bytes.end(), Payload.buffer().begin(), Payload.buffer().end());
   return writeFileBytes(Path, Bytes);
 }

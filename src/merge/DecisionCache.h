@@ -23,6 +23,16 @@
 /// inside a decision are addressed the same way, which is also what
 /// lets one cache file warm sessions at any shard count.
 ///
+/// File format. A fixed header — magic "SALC", FormatVersion, options
+/// fingerprint, payload size, payload checksum (fnv1a64) — then the
+/// payload: a u64 entry count and every entry in key order, as its
+/// DecisionKey then its CachedDecision. Each record's layout is one field
+/// list in DecisionCache.cpp ("Record layouts"), walked by both save()
+/// and load() (support/Serialization.h); load() decodes strictly
+/// (booleans 0/1, counts bounded by the bytes left, nothing left over)
+/// and also refuses a Winner outside -1..attempts-1 and a repeated key.
+/// decision_cache_test pins the bytes of one fixed file.
+///
 /// Invalidation. The file carries a format-version + an options
 /// fingerprint (hash geometry, technique, selection mode, budget caps —
 /// everything that can change a decision, deliberately excluding thread

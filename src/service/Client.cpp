@@ -5,36 +5,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "service/Client.h"
+#include "service/Socket.h"
 #include "support/RNG.h"
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <thread>
 #include <unistd.h>
 
 using namespace salssa;
-
-namespace {
-
-bool sendAll(int Fd, const uint8_t *Data, size_t N) {
-  size_t Sent = 0;
-  while (Sent < N) {
-    ssize_t W = ::send(Fd, Data + Sent, N - Sent, MSG_NOSIGNAL);
-    if (W <= 0) {
-      if (W < 0 && (errno == EINTR || errno == EAGAIN))
-        continue;
-      return false;
-    }
-    Sent += static_cast<size_t>(W);
-  }
-  return true;
-}
-
-} // namespace
 
 DaemonClient::DaemonClient(const ClientOptions &Opts)
     : Options(Opts), JitterState(mix64(Opts.RetrySeed ^ 0x5a1d5ad0c11e47ULL)) {
@@ -52,8 +33,8 @@ void DaemonClient::closeConnection() {
 bool DaemonClient::ensureConnected() {
   if (Fd >= 0)
     return true;
-  if (Options.SocketPath.empty() ||
-      Options.SocketPath.size() >= sizeof(sockaddr_un{}.sun_path))
+  sockaddr_un Addr;
+  if (!unixSocketAddress(Options.SocketPath, Addr))
     return false;
   int S = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (S < 0)
@@ -61,11 +42,6 @@ bool DaemonClient::ensureConnected() {
   // Bounded connect: nonblocking connect + poll for writability.
   int Flags = ::fcntl(S, F_GETFL, 0);
   ::fcntl(S, F_SETFL, Flags | O_NONBLOCK);
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  std::strncpy(Addr.sun_path, Options.SocketPath.c_str(),
-               sizeof(Addr.sun_path) - 1);
   int R = ::connect(S, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr));
   if (R < 0 && errno == EINPROGRESS) {
     pollfd P{S, POLLOUT, 0};
@@ -107,12 +83,10 @@ bool DaemonClient::attemptOnce(RequestKind Kind, uint64_t RequestId,
                                std::vector<uint8_t> &OutPayload) {
   if (!ensureConnected())
     return false;
-  ByteWriter W;
-  encodeRequestHeader(W, {Kind, RequestId, DeadlineMillis});
-  for (uint8_t B : Body)
-    W.u8(B);
-  std::vector<uint8_t> Frame = encodeFrame(W.buffer());
-  if (!sendAll(Fd, Frame.data(), Frame.size())) {
+  std::vector<uint8_t> Request =
+      toBytes(WireRequestHeader{Kind, RequestId, DeadlineMillis});
+  Request.insert(Request.end(), Body.begin(), Body.end());
+  if (!sendAll(Fd, encodeFrame(Request))) {
     closeConnection();
     return false;
   }
@@ -163,27 +137,31 @@ bool DaemonClient::attemptOnce(RequestKind Kind, uint64_t RequestId,
   }
 }
 
-DaemonClient::Result DaemonClient::request(RequestKind Kind,
-                                           const std::vector<uint8_t> &Body,
-                                           std::vector<uint8_t> &OutPayload,
-                                           WireResponseHeader &OutHdr,
-                                           uint32_t DeadlineMillis) {
+template <typename Body, typename Reply>
+DaemonClient::Result DaemonClient::call(RequestKind Kind, const Body &B,
+                                        Reply &Out,
+                                        uint32_t DeadlineMillis) {
+  const std::vector<uint8_t> BodyBytes = toBytes(B);
   Result Res;
   for (unsigned Attempt = 0; Attempt <= Options.MaxRetries; ++Attempt) {
     if (Attempt > 0) {
       ++Retries;
       backoff(Attempt - 1);
     }
-    uint64_t RequestId = NextRequestId++;
-    if (!attemptOnce(Kind, RequestId, Body, DeadlineMillis, OutPayload))
+    std::vector<uint8_t> Payload;
+    if (!attemptOnce(Kind, NextRequestId++, BodyBytes, DeadlineMillis,
+                     Payload))
       continue;
-    ByteReader HR(OutPayload.data(), OutPayload.size());
-    decodeResponseHeader(HR, OutHdr);
-    Res.Status = OutHdr.Status;
+    ByteReader R(Payload.data(), Payload.size());
+    WireResponseHeader Hdr;
+    decodeResponseHeader(R, Hdr);
+    Res.Status = Hdr.Status;
     Res.TransportOk = true;
-    if (OutHdr.Status != StatusCode::Ok) {
+    if (Hdr.Status != StatusCode::Ok) {
       uint32_t Version = 0;
-      decodeErrorBody(HR, OutHdr.Status, Version, Res.ErrorMessage);
+      decodeErrorBody(R, Hdr.Status, Version, Res.ErrorMessage);
+    } else if (!R.whole(Out)) {
+      Res.Status = StatusCode::BadFrame;
     }
     return Res;
   }
@@ -194,85 +172,36 @@ DaemonClient::Result DaemonClient::request(RequestKind Kind,
 DaemonClient::Result
 DaemonClient::registerModules(const RegisterModulesRequest &RM,
                               StatsSnapshot &Out) {
-  ByteWriter W;
-  RM.encode(W);
-  std::vector<uint8_t> Payload;
-  WireResponseHeader Hdr;
-  Result Res =
-      request(RequestKind::RegisterModules, W.buffer(), Payload, Hdr);
-  if (Res.TransportOk && Res.Status == StatusCode::Ok) {
-    ByteReader R(Payload.data(), Payload.size());
-    WireResponseHeader Skip;
-    decodeResponseHeader(R, Skip);
-    if (!Out.decode(R))
-      Res.Status = StatusCode::BadFrame;
-  }
-  return Res;
+  return call(RequestKind::RegisterModules, RM, Out);
 }
 
 DaemonClient::Result DaemonClient::beginDelta() {
-  std::vector<uint8_t> Payload;
-  WireResponseHeader Hdr;
-  return request(RequestKind::BeginDelta, {}, Payload, Hdr,
-                 Options.LeaseDeadlineMillis);
+  EmptyBody Reply;
+  return call(RequestKind::BeginDelta, EmptyBody(), Reply,
+              Options.LeaseDeadlineMillis);
 }
 
 DaemonClient::Result DaemonClient::checkoutForEdit(uint32_t ModuleIdx,
                                                    const std::string &Name) {
-  CheckoutRequest CR;
-  CR.ModuleIdx = ModuleIdx;
-  CR.Name = Name;
-  ByteWriter W;
-  CR.encode(W);
-  std::vector<uint8_t> Payload;
-  WireResponseHeader Hdr;
-  return request(RequestKind::CheckoutForEdit, W.buffer(), Payload, Hdr);
+  EmptyBody Reply;
+  return call(RequestKind::CheckoutForEdit, CheckoutRequest{ModuleIdx, Name},
+              Reply);
 }
 
 DaemonClient::Result DaemonClient::applyDelta(const EditStepSpec &Spec,
                                               uint64_t Token,
                                               ApplyDeltaResponse &Out) {
-  ApplyDeltaRequest AR;
-  AR.Token = Token;
-  AR.Spec = Spec;
-  ByteWriter W;
-  AR.encode(W);
-  std::vector<uint8_t> Payload;
-  WireResponseHeader Hdr;
-  Result Res = request(RequestKind::ApplyDelta, W.buffer(), Payload, Hdr);
-  if (Res.TransportOk && Res.Status == StatusCode::Ok) {
-    ByteReader R(Payload.data(), Payload.size());
-    WireResponseHeader Skip;
-    decodeResponseHeader(R, Skip);
-    if (!Out.decode(R))
-      Res.Status = StatusCode::BadFrame;
-  }
-  return Res;
+  return call(RequestKind::ApplyDelta, ApplyDeltaRequest{Token, Spec}, Out);
 }
 
 DaemonClient::Result DaemonClient::queryStats(bool IncludePrints,
                                               QueryStatsResponse &Out) {
-  QueryStatsRequest QR;
-  QR.IncludePrints = IncludePrints;
-  ByteWriter W;
-  QR.encode(W);
-  std::vector<uint8_t> Payload;
-  WireResponseHeader Hdr;
-  Result Res = request(RequestKind::QueryStats, W.buffer(), Payload, Hdr);
-  if (Res.TransportOk && Res.Status == StatusCode::Ok) {
-    ByteReader R(Payload.data(), Payload.size());
-    WireResponseHeader Skip;
-    decodeResponseHeader(R, Skip);
-    if (!Out.decode(R))
-      Res.Status = StatusCode::BadFrame;
-  }
-  return Res;
+  return call(RequestKind::QueryStats, QueryStatsRequest{IncludePrints}, Out);
 }
 
 DaemonClient::Result DaemonClient::shutdown() {
-  std::vector<uint8_t> Payload;
-  WireResponseHeader Hdr;
-  return request(RequestKind::Shutdown, {}, Payload, Hdr);
+  EmptyBody Reply;
+  return call(RequestKind::Shutdown, EmptyBody(), Reply);
 }
 
 DaemonClient::Result DaemonClient::applyStep(const EditStepSpec &Spec,

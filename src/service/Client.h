@@ -100,12 +100,13 @@ public:
   uint64_t reconnects() const { return Reconnects; }
 
 private:
-  /// Sends (Kind, Body) and waits for the matching response payload.
-  /// Retries transport failures; returns the response body reader state
-  /// via OutBody (positioned after the response header).
-  Result request(RequestKind Kind, const std::vector<uint8_t> &Body,
-                 std::vector<uint8_t> &OutPayload, WireResponseHeader &OutHdr,
-                 uint32_t DeadlineMillis = 0);
+  /// The one call path behind every public request: sends \p B as a
+  /// \p Kind request under the transport retry loop. An Ok answer's body
+  /// must decode exactly into \p Out (else the result is BadFrame); an
+  /// error answer's message lands in Result::ErrorMessage.
+  template <typename Body, typename Reply>
+  Result call(RequestKind Kind, const Body &B, Reply &Out,
+              uint32_t DeadlineMillis = 0);
   bool ensureConnected();
   void closeConnection();
   bool attemptOnce(RequestKind Kind, uint64_t RequestId,

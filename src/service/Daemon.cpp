@@ -6,6 +6,7 @@
 
 #include "service/Daemon.h"
 #include "ir/IRPrinter.h"
+#include "service/Socket.h"
 #include "workloads/EditScript.h"
 #include <algorithm>
 #include <cerrno>
@@ -13,29 +14,22 @@
 #include <cstring>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace salssa;
 
 namespace {
 
-bool sendAll(int Fd, const uint8_t *Data, size_t N) {
-  size_t Sent = 0;
-  while (Sent < N) {
-    ssize_t W = ::send(Fd, Data + Sent, N - Sent, MSG_NOSIGNAL);
-    if (W <= 0) {
-      if (W < 0 && (errno == EINTR || errno == EAGAIN))
-        continue;
-      return false;
-    }
-    Sent += static_cast<size_t>(W);
-  }
-  return true;
-}
-
 std::string faultKey(uint64_t ConnId, uint64_t RequestId) {
   return "conn" + std::to_string(ConnId) + ".req" + std::to_string(RequestId);
+}
+
+/// The Ok answer to \p Req, carrying \p Body.
+template <typename Body = EmptyBody>
+std::vector<uint8_t> okReply(const WireRequestHeader &Req,
+                             const Body &B = Body()) {
+  return toBytes(WireResponseHeader{Req.Kind, Req.RequestId, StatusCode::Ok},
+                 B);
 }
 
 } // namespace
@@ -58,8 +52,8 @@ Daemon::~Daemon() { stop(); }
 bool Daemon::start() {
   if (Running.load())
     return true;
-  if (Options.SocketPath.empty() ||
-      Options.SocketPath.size() >= sizeof(sockaddr_un{}.sun_path)) {
+  sockaddr_un Addr;
+  if (!unixSocketAddress(Options.SocketPath, Addr)) {
     LastError = "invalid socket path";
     return false;
   }
@@ -69,11 +63,6 @@ bool Daemon::start() {
     return false;
   }
   ::unlink(Options.SocketPath.c_str());
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  std::strncpy(Addr.sun_path, Options.SocketPath.c_str(),
-               sizeof(Addr.sun_path) - 1);
   if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) <
       0) {
     LastError = std::string("bind: ") + std::strerror(errno);
@@ -125,6 +114,18 @@ DaemonCounters Daemon::counters() const {
   return Counters;
 }
 
+void Daemon::count(uint64_t DaemonCounters::*Counter) {
+  std::lock_guard<std::mutex> L(StatsMutex);
+  ++(Counters.*Counter);
+}
+
+std::vector<uint8_t> Daemon::reject(const WireRequestHeader &Req,
+                                    StatusCode Status,
+                                    const std::string &Message) {
+  count(&DaemonCounters::RequestErrors);
+  return buildErrorPayload(Req, Status, Message);
+}
+
 void Daemon::acceptLoop() {
   while (!Stopping.load()) {
     pollfd P{ListenFd, POLLIN, 0};
@@ -135,10 +136,7 @@ void Daemon::acceptLoop() {
     if (Fd < 0)
       continue;
     uint64_t ConnId = NextConnId.fetch_add(1);
-    {
-      std::lock_guard<std::mutex> L(StatsMutex);
-      ++Counters.Connections;
-    }
+    count(&DaemonCounters::Connections);
     std::lock_guard<std::mutex> L(ThreadsMutex);
     ConnThreads.emplace_back(
         [this, Fd, ConnId] { serveConnection(Fd, ConnId); });
@@ -165,10 +163,7 @@ void Daemon::serveConnection(int Fd, uint64_t ConnId) {
     Asm.feed(Buf, static_cast<size_t>(N));
     std::vector<uint8_t> Payload;
     while (Alive && Asm.next(Payload)) {
-      {
-        std::lock_guard<std::mutex> L(StatsMutex);
-        ++Counters.RequestsServed;
-      }
+      count(&DaemonCounters::RequestsServed);
       // Peek the request identity for the fault key (a malformed header
       // still yields deterministic bytes for the key).
       ByteReader HR(Payload.data(), Payload.size());
@@ -178,49 +173,35 @@ void Daemon::serveConnection(int Fd, uint64_t ConnId) {
       if (faultFires(Options.Faults, FaultKind::Protocol, Key,
                      "disconnect")) {
         // Drop before processing: nothing applied, a retry re-applies.
-        std::lock_guard<std::mutex> L(StatsMutex);
-        ++Counters.ProtocolFaultsInjected;
+        count(&DaemonCounters::ProtocolFaultsInjected);
         Alive = false;
         break;
       }
-      std::vector<uint8_t> Response = handleRequest(Conn, Payload);
-      std::vector<uint8_t> Frame = encodeFrame(Response);
-      if (faultFires(Options.Faults, FaultKind::Protocol, Key, "truncate")) {
-        {
-          std::lock_guard<std::mutex> L(StatsMutex);
-          ++Counters.ProtocolFaultsInjected;
-        }
-        sendAll(Fd, Frame.data(), Frame.size() / 2);
-        Alive = false;
-        break;
-      }
-      if (faultFires(Options.Faults, FaultKind::Protocol, Key, "checksum")) {
-        {
-          std::lock_guard<std::mutex> L(StatsMutex);
-          ++Counters.ProtocolFaultsInjected;
-        }
+      std::vector<uint8_t> Frame = encodeFrame(handleRequest(Conn, Payload));
+      // Damage after processing: half a frame, or a corrupt checksum; the
+      // connection then drops and a retry replays from the token cache.
+      bool Damaged = true;
+      if (faultFires(Options.Faults, FaultKind::Protocol, Key, "truncate"))
+        Frame.resize(Frame.size() / 2);
+      else if (faultFires(Options.Faults, FaultKind::Protocol, Key,
+                          "checksum"))
         Frame[12] ^= 0xFF; // first checksum byte
-        sendAll(Fd, Frame.data(), Frame.size());
-        Alive = false;
-        break;
-      }
-      if (!sendAll(Fd, Frame.data(), Frame.size()))
+      else
+        Damaged = false;
+      if (Damaged)
+        count(&DaemonCounters::ProtocolFaultsInjected);
+      if (!sendAll(Fd, Frame) || Damaged)
         Alive = false;
     }
     if (Asm.error() != FrameError::None) {
       // Desynchronized stream: best-effort error frame, then tear down.
-      WireRequestHeader Req;
-      std::vector<uint8_t> Err = buildErrorPayload(
-          Req,
-          Asm.error() == FrameError::BadVersion ? StatusCode::VersionMismatch
-                                                : StatusCode::BadFrame,
-          "frame error: " + std::to_string(static_cast<int>(Asm.error())));
-      {
-        std::lock_guard<std::mutex> L(StatsMutex);
-        ++Counters.RequestErrors;
-      }
-      std::vector<uint8_t> Frame = encodeFrame(Err);
-      sendAll(Fd, Frame.data(), Frame.size());
+      sendAll(Fd, encodeFrame(reject(
+                      WireRequestHeader(),
+                      Asm.error() == FrameError::BadVersion
+                          ? StatusCode::VersionMismatch
+                          : StatusCode::BadFrame,
+                      "frame error: " +
+                          std::to_string(static_cast<int>(Asm.error())))));
       break;
     }
   }
@@ -235,65 +216,60 @@ std::vector<uint8_t>
 Daemon::handleRequest(Connection &Conn, const std::vector<uint8_t> &Payload) {
   ByteReader R(Payload.data(), Payload.size());
   WireRequestHeader Req;
-  auto error = [&](StatusCode S, const std::string &Msg) {
-    std::lock_guard<std::mutex> L(StatsMutex);
-    ++Counters.RequestErrors;
-    return buildErrorPayload(Req, S, Msg);
-  };
   if (!decodeRequestHeader(R, Req))
-    return error(StatusCode::BadFrame, "short request header");
+    return reject(Req, StatusCode::BadFrame, "short request header");
+  // One decoding rule for every kind: the body must decode strictly and
+  // end the payload (Protocol.h "Payloads").
+  auto Malformed = [&] {
+    return reject(Req, StatusCode::BadFrame,
+                  std::string("malformed ") + requestKindName(Req.Kind) +
+                      " body");
+  };
   switch (Req.Kind) {
-  case RequestKind::RegisterModules:
-    return handleRegister(Req, R);
+  case RequestKind::RegisterModules: {
+    RegisterModulesRequest RM;
+    return R.whole(RM) ? handleRegister(Req, std::move(RM)) : Malformed();
+  }
   case RequestKind::BeginDelta: {
-    std::vector<uint8_t> Resp = handleBeginDelta(Conn, Req);
-    return Resp;
+    EmptyBody None;
+    return R.whole(None) ? handleBeginDelta(Conn, Req) : Malformed();
   }
-  case RequestKind::CheckoutForEdit:
-    return handleCheckout(Conn, Req, R);
-  case RequestKind::ApplyDelta:
-    return handleApplyDelta(Conn, Req, R);
-  case RequestKind::QueryStats:
-    return handleQueryStats(Req, R);
-  case RequestKind::Shutdown:
-    return handleShutdown(Req);
+  case RequestKind::CheckoutForEdit: {
+    CheckoutRequest CR;
+    return R.whole(CR) ? handleCheckout(Conn, Req, CR) : Malformed();
   }
-  return error(StatusCode::UnknownRequest,
-               "unknown request kind " +
-                   std::to_string(static_cast<int>(Req.Kind)));
+  case RequestKind::ApplyDelta: {
+    ApplyDeltaRequest AR;
+    return R.whole(AR) ? handleApplyDelta(Conn, Req, AR) : Malformed();
+  }
+  case RequestKind::QueryStats: {
+    QueryStatsRequest QR;
+    return R.whole(QR) ? handleQueryStats(Req, QR) : Malformed();
+  }
+  case RequestKind::Shutdown: {
+    EmptyBody None;
+    return R.whole(None) ? handleShutdown(Req) : Malformed();
+  }
+  }
+  return reject(Req, StatusCode::UnknownRequest,
+                "unknown request kind " +
+                    std::to_string(static_cast<int>(Req.Kind)));
 }
 
 std::vector<uint8_t> Daemon::handleRegister(const WireRequestHeader &Req,
-                                            ByteReader &Body) {
-  auto error = [&](StatusCode S, const std::string &Msg) {
-    std::lock_guard<std::mutex> L(StatsMutex);
-    ++Counters.RequestErrors;
-    return buildErrorPayload(Req, S, Msg);
-  };
-  // Idempotency witness: the raw body bytes, before decoding.
-  std::vector<uint8_t> Bytes;
-  Bytes.reserve(Body.remaining());
-  {
-    ByteReader Probe = Body;
-    while (!Probe.atEnd())
-      Bytes.push_back(Probe.u8());
-  }
+                                            RegisterModulesRequest RM) {
+  // Idempotency witness: the body's bytes, which a strict decode makes
+  // the exact bytes the client sent.
+  std::vector<uint8_t> Bytes = toBytes(RM);
   std::lock_guard<std::mutex> Setup(SessionSetupMutex);
   if (Registered.load()) {
-    if (Bytes == RegisterBody) {
-      ByteWriter W;
-      encodeResponseHeader(W, {Req.Kind, Req.RequestId, StatusCode::Ok});
-      snapshotNow().encode(W);
-      return W.buffer();
-    }
-    return error(StatusCode::AlreadyRegistered,
-                 "session already registered with a different spec");
+    if (Bytes == RegisterBody)
+      return okReply(Req, snapshotNow());
+    return reject(Req, StatusCode::AlreadyRegistered,
+                  "session already registered with a different spec");
   }
-  RegisterModulesRequest RM;
-  if (!RM.decode(Body))
-    return error(StatusCode::BadFrame, "malformed RegisterModules body");
   if (std::string Why = validateRequest(RM); !Why.empty())
-    return error(StatusCode::BadFrame, Why);
+    return reject(Req, StatusCode::BadFrame, Why);
   // Daemon startup defaults fill warm-path knobs the request left unset,
   // and the decision cache is always the daemon's own (validateRequest
   // refuses a client-named path): this is how a restarted
@@ -327,106 +303,73 @@ std::vector<uint8_t> Daemon::handleRegister(const WireRequestHeader &Req,
   } catch (const std::exception &E) {
     Svc.reset();
     Mods.clear();
-    return error(StatusCode::InternalError,
-                 std::string("initialize failed: ") + E.what());
+    return reject(Req, StatusCode::InternalError,
+                  std::string("initialize failed: ") + E.what());
   }
   RegisterBody = std::move(Bytes);
   Registered.store(true);
-  ByteWriter W;
-  encodeResponseHeader(W, {Req.Kind, Req.RequestId, StatusCode::Ok});
-  snapshotNow().encode(W);
-  return W.buffer();
+  return okReply(Req, snapshotNow());
 }
 
 std::vector<uint8_t> Daemon::handleBeginDelta(Connection &Conn,
                                               const WireRequestHeader &Req) {
-  auto error = [&](StatusCode S, const std::string &Msg) {
-    std::lock_guard<std::mutex> L(StatsMutex);
-    ++Counters.RequestErrors;
-    return buildErrorPayload(Req, S, Msg);
-  };
   if (!Registered.load())
-    return error(StatusCode::NotRegistered, "RegisterModules first");
+    return reject(Req, StatusCode::NotRegistered, "RegisterModules first");
   if (Stopping.load())
-    return error(StatusCode::ShuttingDown, "daemon is draining");
+    return reject(Req, StatusCode::ShuttingDown, "daemon is draining");
   if (!acquireLease(Conn.Id, Req.DeadlineMillis)) {
     if (Stopping.load())
-      return error(StatusCode::ShuttingDown, "daemon is draining");
-    return error(StatusCode::DeadlineExpired,
-                 "writer lease not acquired within the deadline");
+      return reject(Req, StatusCode::ShuttingDown, "daemon is draining");
+    return reject(Req, StatusCode::DeadlineExpired,
+                  "writer lease not acquired within the deadline");
   }
   Conn.HoldsLease = true;
-  ByteWriter W;
-  encodeResponseHeader(W, {Req.Kind, Req.RequestId, StatusCode::Ok});
-  return W.buffer();
+  return okReply(Req);
 }
 
 std::vector<uint8_t> Daemon::handleCheckout(Connection &Conn,
                                             const WireRequestHeader &Req,
-                                            ByteReader &Body) {
-  auto error = [&](StatusCode S, const std::string &Msg) {
-    std::lock_guard<std::mutex> L(StatsMutex);
-    ++Counters.RequestErrors;
-    return buildErrorPayload(Req, S, Msg);
-  };
+                                            const CheckoutRequest &CR) {
   if (!Registered.load())
-    return error(StatusCode::NotRegistered, "RegisterModules first");
+    return reject(Req, StatusCode::NotRegistered, "RegisterModules first");
   if (!Conn.HoldsLease)
-    return error(StatusCode::NoBatch, "BeginDelta first");
-  CheckoutRequest CR;
-  if (!CR.decode(Body))
-    return error(StatusCode::BadFrame, "malformed CheckoutForEdit body");
+    return reject(Req, StatusCode::NoBatch, "BeginDelta first");
   Function *F = findFunction(CR.ModuleIdx, CR.Name);
   if (!F)
-    return error(StatusCode::UnknownFunction,
-                 "no definition " + CR.Name + " in module " +
-                     std::to_string(CR.ModuleIdx));
+    return reject(Req, StatusCode::UnknownFunction,
+                  "no definition " + CR.Name + " in module " +
+                      std::to_string(CR.ModuleIdx));
   if (std::find(Conn.Checkouts.begin(), Conn.Checkouts.end(), F) ==
       Conn.Checkouts.end())
     Conn.Checkouts.push_back(F);
-  ByteWriter W;
-  encodeResponseHeader(W, {Req.Kind, Req.RequestId, StatusCode::Ok});
-  return W.buffer();
+  return okReply(Req);
 }
 
 std::vector<uint8_t> Daemon::handleApplyDelta(Connection &Conn,
                                               const WireRequestHeader &Req,
-                                              ByteReader &Body) {
-  auto error = [&](StatusCode S, const std::string &Msg) {
-    std::lock_guard<std::mutex> L(StatsMutex);
-    ++Counters.RequestErrors;
-    return buildErrorPayload(Req, S, Msg);
-  };
+                                              const ApplyDeltaRequest &AR) {
   if (!Registered.load())
-    return error(StatusCode::NotRegistered, "RegisterModules first");
-  ApplyDeltaRequest AR;
-  if (!AR.decode(Body))
-    return error(StatusCode::BadFrame, "malformed ApplyDelta body");
+    return reject(Req, StatusCode::NotRegistered, "RegisterModules first");
   if (std::string Why = validateRequest(AR, Mods.size()); !Why.empty())
-    return error(StatusCode::BadFrame, Why);
+    return reject(Req, StatusCode::BadFrame, Why);
   {
     // Idempotent retry: a token we already served replays the remembered
     // response body (encoded with Replayed=1) and never re-applies.
     std::lock_guard<std::mutex> L(TokenMutex);
     if (const std::vector<uint8_t> *Cached = TokenCache.lookup(AR.Token)) {
-      {
-        std::lock_guard<std::mutex> SL(StatsMutex);
-        ++Counters.TokenReplays;
-      }
+      count(&DaemonCounters::TokenReplays);
       if (Conn.HoldsLease) { // the logical batch this retry belongs to is done
         Conn.Checkouts.clear();
         Conn.HoldsLease = false;
         releaseLease(Conn.Id);
       }
-      ByteWriter W;
-      encodeResponseHeader(W, {Req.Kind, Req.RequestId, StatusCode::Ok});
-      for (uint8_t B : *Cached)
-        W.u8(B);
-      return W.buffer();
+      std::vector<uint8_t> Reply = okReply(Req);
+      Reply.insert(Reply.end(), Cached->begin(), Cached->end());
+      return Reply;
     }
   }
   if (!Conn.HoldsLease)
-    return error(StatusCode::NoBatch, "BeginDelta first");
+    return reject(Req, StatusCode::NoBatch, "BeginDelta first");
   MergeServiceStats St;
   try {
     MergeService::DeltaBatch Batch = Svc->beginDelta();
@@ -451,41 +394,28 @@ std::vector<uint8_t> Daemon::handleApplyDelta(Connection &Conn,
     }
     St = Batch.apply(D);
   } catch (const std::exception &E) {
-    return error(StatusCode::InternalError,
-                 std::string("delta failed: ") + E.what());
+    return reject(Req, StatusCode::InternalError,
+                  std::string("delta failed: ") + E.what());
   }
   refreshSnapshot(St);
-  {
-    std::lock_guard<std::mutex> L(StatsMutex);
-    ++Counters.DeltasApplied;
-  }
+  count(&DaemonCounters::DeltasApplied);
   Conn.Checkouts.clear();
   Conn.HoldsLease = false;
   releaseLease(Conn.Id);
 
   ApplyDeltaResponse Resp;
   Resp.Stats = snapshotNow();
-  Resp.Replayed = false;
-  ByteWriter Fresh;
-  Resp.encode(Fresh);
   Resp.Replayed = true;
-  ByteWriter Replay;
-  Resp.encode(Replay);
   {
     std::lock_guard<std::mutex> L(TokenMutex);
-    TokenCache.remember(AR.Token, Replay.buffer());
+    TokenCache.remember(AR.Token, toBytes(Resp));
   }
-  ByteWriter W;
-  encodeResponseHeader(W, {Req.Kind, Req.RequestId, StatusCode::Ok});
-  for (uint8_t B : Fresh.buffer())
-    W.u8(B);
-  return W.buffer();
+  Resp.Replayed = false;
+  return okReply(Req, Resp);
 }
 
 std::vector<uint8_t> Daemon::handleQueryStats(const WireRequestHeader &Req,
-                                              ByteReader &Body) {
-  QueryStatsRequest QR;
-  QR.decode(Body); // zero-initialized on malformed body is fine
+                                              const QueryStatsRequest &QR) {
   QueryStatsResponse Resp;
   {
     std::lock_guard<std::mutex> L(StatsMutex);
@@ -494,18 +424,13 @@ std::vector<uint8_t> Daemon::handleQueryStats(const WireRequestHeader &Req,
     if (QR.IncludePrints)
       Resp.Prints = CachedPrints;
   }
-  ByteWriter W;
-  encodeResponseHeader(W, {Req.Kind, Req.RequestId, StatusCode::Ok});
-  Resp.encode(W);
-  return W.buffer();
+  return okReply(Req, Resp);
 }
 
 std::vector<uint8_t> Daemon::handleShutdown(const WireRequestHeader &Req) {
   Stopping.store(true);
   LeaseCV.notify_all();
-  ByteWriter W;
-  encodeResponseHeader(W, {Req.Kind, Req.RequestId, StatusCode::Ok});
-  return W.buffer();
+  return okReply(Req);
 }
 
 bool Daemon::acquireLease(uint64_t ConnId, uint32_t DeadlineMillis) {
@@ -532,10 +457,8 @@ bool Daemon::acquireLease(uint64_t ConnId, uint32_t DeadlineMillis) {
         std::remove(LeaseQueue.begin(), LeaseQueue.end(), ConnId),
         LeaseQueue.end());
     LeaseCV.notify_all(); // the next waiter may now be at the front
-    if (!Stopping.load()) {
-      std::lock_guard<std::mutex> SL(StatsMutex);
-      ++Counters.DeadlineExpirations;
-    }
+    if (!Stopping.load())
+      count(&DaemonCounters::DeadlineExpirations);
     return false;
   }
   LeaseQueue.pop_front();
@@ -570,8 +493,7 @@ void Daemon::healAbandonedBatch(Connection &Conn) {
       St = Batch.apply(D);
     }
     refreshSnapshot(St);
-    std::lock_guard<std::mutex> L(StatsMutex);
-    ++Counters.HealedBatches;
+    count(&DaemonCounters::HealedBatches);
   } catch (const std::exception &) {
     // Healing is best-effort; the session's own containment already
     // guarantees coherence.
@@ -607,11 +529,6 @@ void Daemon::refreshSnapshot(const MergeServiceStats &St) {
 StatsSnapshot Daemon::snapshotNow() const {
   std::lock_guard<std::mutex> L(StatsMutex);
   return CachedStats;
-}
-
-DaemonCounters Daemon::countersNow() const {
-  std::lock_guard<std::mutex> L(StatsMutex);
-  return Counters;
 }
 
 Function *Daemon::findFunction(uint32_t ModuleIdx,

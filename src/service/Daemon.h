@@ -106,25 +106,32 @@ private:
 
   void acceptLoop();
   void serveConnection(int Fd, uint64_t ConnId);
-  /// Dispatches one decoded request payload; returns the response
+  /// Decodes one request payload and dispatches it; returns the response
   /// payload (always — protocol faults are applied by the caller on the
-  /// send path, not here).
+  /// send path, not here). A body that does not decode strictly is
+  /// answered BadFrame before any handler runs.
   std::vector<uint8_t> handleRequest(Connection &Conn,
                                      const std::vector<uint8_t> &Payload);
 
   std::vector<uint8_t> handleRegister(const WireRequestHeader &Req,
-                                      ByteReader &Body);
+                                      RegisterModulesRequest RM);
   std::vector<uint8_t> handleBeginDelta(Connection &Conn,
                                         const WireRequestHeader &Req);
   std::vector<uint8_t> handleCheckout(Connection &Conn,
                                       const WireRequestHeader &Req,
-                                      ByteReader &Body);
+                                      const CheckoutRequest &CR);
   std::vector<uint8_t> handleApplyDelta(Connection &Conn,
                                         const WireRequestHeader &Req,
-                                        ByteReader &Body);
+                                        const ApplyDeltaRequest &AR);
   std::vector<uint8_t> handleQueryStats(const WireRequestHeader &Req,
-                                        ByteReader &Body);
+                                        const QueryStatsRequest &QR);
   std::vector<uint8_t> handleShutdown(const WireRequestHeader &Req);
+
+  /// Adds one to \p Counter under StatsMutex.
+  void count(uint64_t DaemonCounters::*Counter);
+  /// The error answer to \p Req, counted in RequestErrors.
+  std::vector<uint8_t> reject(const WireRequestHeader &Req, StatusCode Status,
+                              const std::string &Message);
 
   /// FIFO lease admission for \p ConnId; blocks up to \p DeadlineMillis
   /// (0 = forever). Returns false on deadline expiry.
@@ -138,7 +145,6 @@ private:
   /// Re-caches the post-mutation stats snapshot and module prints.
   void refreshSnapshot(const MergeServiceStats &St);
   StatsSnapshot snapshotNow() const;
-  DaemonCounters countersNow() const;
 
   Function *findFunction(uint32_t ModuleIdx, const std::string &Name) const;
 

@@ -6,7 +6,6 @@
 
 #include "service/Protocol.h"
 #include <cassert>
-#include <cstring>
 
 using namespace salssa;
 
@@ -58,14 +57,27 @@ const char *salssa::statusCodeName(StatusCode S) {
 
 // --- Framing -----------------------------------------------------------------
 
+namespace {
+
+/// The 20-byte frame header (FrameHeaderBytes), frozen across versions.
+struct FrameHeader {
+  uint32_t Magic = 0;
+  uint32_t Version = 0;
+  uint32_t Length = 0;
+  uint64_t Checksum = 0;
+};
+
+template <typename IO> void fields(IO &F, FrameHeader &H) {
+  F(H.Magic, H.Version, H.Length, H.Checksum);
+}
+
+} // namespace
+
 std::vector<uint8_t> salssa::encodeFrame(const std::vector<uint8_t> &Payload) {
   assert(Payload.size() <= MaxFramePayloadBytes && "frame payload too large");
-  ByteWriter W;
-  W.u32(ProtocolMagic);
-  W.u32(ProtocolVersion);
-  W.u32(static_cast<uint32_t>(Payload.size()));
-  W.u64(fnv1a64(Payload.data(), Payload.size()));
-  std::vector<uint8_t> Out = W.buffer();
+  std::vector<uint8_t> Out = toBytes(FrameHeader{
+      ProtocolMagic, ProtocolVersion, static_cast<uint32_t>(Payload.size()),
+      fnv1a64(Payload.data(), Payload.size())});
   Out.insert(Out.end(), Payload.begin(), Payload.end());
   return Out;
 }
@@ -87,241 +99,72 @@ bool FrameAssembler::next(std::vector<uint8_t> &Payload) {
   }
   if (Buf.size() - Pos < FrameHeaderBytes)
     return false;
+  FrameHeader H;
   ByteReader R(Buf.data() + Pos, FrameHeaderBytes);
-  uint32_t Magic = R.u32();
-  uint32_t Version = R.u32();
-  uint32_t Length = R.u32();
-  uint64_t Checksum = R.u64();
-  if (Magic != ProtocolMagic) {
+  R(H); // cannot fail: the header bytes are all there
+  if (H.Magic != ProtocolMagic) {
     Err = FrameError::BadMagic;
     return false;
   }
-  if (Version != ProtocolVersion) {
+  if (H.Version != ProtocolVersion) {
     Err = FrameError::BadVersion;
     return false;
   }
-  if (Length > MaxFramePayloadBytes) {
+  if (H.Length > MaxFramePayloadBytes) {
     Err = FrameError::Oversized;
     return false;
   }
-  if (Buf.size() - Pos - FrameHeaderBytes < Length)
+  if (Buf.size() - Pos - FrameHeaderBytes < H.Length)
     return false; // need more bytes
   const uint8_t *Body = Buf.data() + Pos + FrameHeaderBytes;
-  if (fnv1a64(Body, Length) != Checksum) {
+  if (fnv1a64(Body, H.Length) != H.Checksum) {
     Err = FrameError::BadChecksum;
     return false;
   }
-  Payload.assign(Body, Body + Length);
-  Pos += FrameHeaderBytes + Length;
+  Payload.assign(Body, Body + H.Length);
+  Pos += FrameHeaderBytes + H.Length;
   return true;
 }
 
-// --- Payload headers ---------------------------------------------------------
+// --- Payload headers and bodies ---------------------------------------------
+//
+// Thin wrappers over the field lists in Protocol.h. A header is followed by
+// a body; a body must end its payload.
 
 void salssa::encodeRequestHeader(ByteWriter &W, const WireRequestHeader &H) {
-  W.u8(static_cast<uint8_t>(H.Kind));
-  W.u64(H.RequestId);
-  W.u32(H.DeadlineMillis);
+  W(H);
 }
 
 bool salssa::decodeRequestHeader(ByteReader &R, WireRequestHeader &H) {
-  H.Kind = static_cast<RequestKind>(R.u8());
-  H.RequestId = R.u64();
-  H.DeadlineMillis = R.u32();
-  return R.ok();
+  return R(H);
 }
 
 void salssa::encodeResponseHeader(ByteWriter &W, const WireResponseHeader &H) {
-  W.u8(static_cast<uint8_t>(H.Kind));
-  W.u64(H.RequestId);
-  W.u8(static_cast<uint8_t>(H.Status));
+  W(H);
 }
 
 bool salssa::decodeResponseHeader(ByteReader &R, WireResponseHeader &H) {
-  H.Kind = static_cast<RequestKind>(R.u8());
-  H.RequestId = R.u64();
-  H.Status = static_cast<StatusCode>(R.u8());
-  return R.ok();
+  return R(H);
 }
 
-void salssa::encodeString(ByteWriter &W, const std::string &S) {
-  W.u32(static_cast<uint32_t>(S.size()));
-  for (char C : S)
-    W.u8(static_cast<uint8_t>(C));
-}
+bool salssa::decodeString(ByteReader &R, std::string &S) { return R(S); }
 
-bool salssa::decodeString(ByteReader &R, std::string &S) {
-  uint32_t N = R.u32();
-  if (!R.ok() || R.remaining() < N)
-    return false;
-  S.clear();
-  S.reserve(N);
-  for (uint32_t I = 0; I < N; ++I)
-    S.push_back(static_cast<char>(R.u8()));
-  return R.ok();
-}
-
-// --- Request bodies ----------------------------------------------------------
-
-namespace {
-
-/// Request booleans travel as exactly 0 or 1; any other byte is malformed,
-/// so an accepted request body re-encodes to the bytes it came from.
-bool decodeBool(ByteReader &R, bool &B) {
-  uint8_t V = R.u8();
-  B = V == 1;
-  return V <= 1;
-}
-
-void encodeProfile(ByteWriter &W, const BenchmarkProfile &P) {
-  encodeString(W, P.Name);
-  W.u32(P.NumFunctions);
-  W.u32(P.MinSize);
-  W.u32(P.AvgSize);
-  W.u32(P.MaxSize);
-  W.u32(P.CloneFamilyPercent);
-  W.u32(P.MinFamily);
-  W.u32(P.MaxFamily);
-  W.u32(P.FamilyDriftPercent);
-  W.u32(P.SyntacticDriftPercent);
-  W.u32(P.LoopPercent);
-  W.u32(P.InvokePercent);
-  W.u32(P.GiantPairSize);
-  W.u32(P.RetTypeVariety);
-  W.u64(P.Seed);
-}
-
-bool decodeProfile(ByteReader &R, BenchmarkProfile &P) {
-  if (!decodeString(R, P.Name))
-    return false;
-  P.NumFunctions = R.u32();
-  P.MinSize = R.u32();
-  P.AvgSize = R.u32();
-  P.MaxSize = R.u32();
-  P.CloneFamilyPercent = R.u32();
-  P.MinFamily = R.u32();
-  P.MaxFamily = R.u32();
-  P.FamilyDriftPercent = R.u32();
-  P.SyntacticDriftPercent = R.u32();
-  P.LoopPercent = R.u32();
-  P.InvokePercent = R.u32();
-  P.GiantPairSize = R.u32();
-  P.RetTypeVariety = R.u32();
-  P.Seed = R.u64();
-  return R.ok();
-}
-
-void encodeEditOps(ByteWriter &W, const std::vector<EditOp> &Ops) {
-  W.u32(static_cast<uint32_t>(Ops.size()));
-  for (const EditOp &O : Ops) {
-    W.u8(static_cast<uint8_t>(O.K));
-    W.u32(O.ModuleIdx);
-    encodeString(W, O.Name);
-    W.u64(O.OpSeed);
-  }
-}
-
-bool decodeEditOps(ByteReader &R, std::vector<EditOp> &Ops) {
-  uint32_t N = R.u32();
-  if (!R.ok())
-    return false;
-  Ops.clear();
-  for (uint32_t I = 0; I < N; ++I) {
-    EditOp O;
-    O.K = static_cast<EditOp::Kind>(R.u8());
-    O.ModuleIdx = R.u32();
-    if (!decodeString(R, O.Name))
-      return false;
-    O.OpSeed = R.u64();
-    Ops.push_back(std::move(O));
-  }
-  return R.ok();
-}
-
-void encodeSpec(ByteWriter &W, const EditStepSpec &S) {
-  encodeEditOps(W, S.Deletes);
-  encodeEditOps(W, S.Changes);
-  encodeEditOps(W, S.Adds);
-  W.u32(S.Drift.MutatePercent);
-  W.u32(S.Drift.InsertPercent);
-  W.u32(S.Drift.SyntacticPercent);
-  W.u32(S.Generate.TargetSize);
-  W.u32(S.Generate.ControlFlowPercent);
-  W.u32(S.Generate.LoopPercent);
-  W.u32(S.Generate.JoinPhiPercent);
-  W.u32(S.Generate.InvokePercent);
-  W.u32(S.Generate.MaxDepth);
-  W.u32(S.Generate.RetTypeVariety);
-}
-
-bool decodeSpec(ByteReader &R, EditStepSpec &S) {
-  if (!decodeEditOps(R, S.Deletes) || !decodeEditOps(R, S.Changes) ||
-      !decodeEditOps(R, S.Adds))
-    return false;
-  S.Drift.MutatePercent = R.u32();
-  S.Drift.InsertPercent = R.u32();
-  S.Drift.SyntacticPercent = R.u32();
-  S.Generate.TargetSize = R.u32();
-  S.Generate.ControlFlowPercent = R.u32();
-  S.Generate.LoopPercent = R.u32();
-  S.Generate.JoinPhiPercent = R.u32();
-  S.Generate.InvokePercent = R.u32();
-  S.Generate.MaxDepth = R.u32();
-  S.Generate.RetTypeVariety = R.u32();
-  return R.ok();
-}
-
-} // namespace
-
-void RegisterModulesRequest::encode(ByteWriter &W) const {
-  encodeProfile(W, Profile);
-  W.u32(NumModules);
-  W.u8(static_cast<uint8_t>(Selection));
-  W.u32(NumThreads);
-  W.u32(ShardCount);
-  W.u32(ExplorationThreshold);
-  W.u8(static_cast<uint8_t>(Host));
-  W.u8(HashClustering ? 1 : 0);
-  W.u8(Canonicalize ? 1 : 0);
-  encodeString(W, DecisionCachePath);
-  W.u32(QuarantineDecayEpochs);
-}
-
-bool RegisterModulesRequest::decode(ByteReader &R) {
-  if (!decodeProfile(R, Profile))
-    return false;
-  NumModules = R.u32();
-  Selection = static_cast<SelectionStrategy>(R.u8());
-  NumThreads = R.u32();
-  ShardCount = R.u32();
-  ExplorationThreshold = R.u32();
-  Host = static_cast<HostPolicy>(R.u8());
-  if (!decodeBool(R, HashClustering) || !decodeBool(R, Canonicalize) ||
-      !decodeString(R, DecisionCachePath))
-    return false;
-  QuarantineDecayEpochs = R.u32();
-  return R.ok();
-}
-
-void CheckoutRequest::encode(ByteWriter &W) const {
-  W.u32(ModuleIdx);
-  encodeString(W, Name);
-}
-
-bool CheckoutRequest::decode(ByteReader &R) {
-  ModuleIdx = R.u32();
-  return decodeString(R, Name) && R.ok();
-}
-
-void ApplyDeltaRequest::encode(ByteWriter &W) const {
-  W.u64(Token);
-  encodeSpec(W, Spec);
-}
-
-bool ApplyDeltaRequest::decode(ByteReader &R) {
-  Token = R.u64();
-  return decodeSpec(R, Spec) && R.ok();
-}
+void RegisterModulesRequest::encode(ByteWriter &W) const { W(*this); }
+bool RegisterModulesRequest::decode(ByteReader &R) { return R.whole(*this); }
+void CheckoutRequest::encode(ByteWriter &W) const { W(*this); }
+bool CheckoutRequest::decode(ByteReader &R) { return R.whole(*this); }
+void ApplyDeltaRequest::encode(ByteWriter &W) const { W(*this); }
+bool ApplyDeltaRequest::decode(ByteReader &R) { return R.whole(*this); }
+void QueryStatsRequest::encode(ByteWriter &W) const { W(*this); }
+bool QueryStatsRequest::decode(ByteReader &R) { return R.whole(*this); }
+void StatsSnapshot::encode(ByteWriter &W) const { W(*this); }
+bool StatsSnapshot::decode(ByteReader &R) { return R.whole(*this); }
+void DaemonCounters::encode(ByteWriter &W) const { W(*this); }
+bool DaemonCounters::decode(ByteReader &R) { return R.whole(*this); }
+void ApplyDeltaResponse::encode(ByteWriter &W) const { W(*this); }
+bool ApplyDeltaResponse::decode(ByteReader &R) { return R.whole(*this); }
+void QueryStatsResponse::encode(ByteWriter &W) const { W(*this); }
+bool QueryStatsResponse::decode(ByteReader &R) { return R.whole(*this); }
 
 // --- Request validation ------------------------------------------------------
 
@@ -410,97 +253,6 @@ std::string salssa::validateRequest(const ApplyDeltaRequest &AR,
   return {};
 }
 
-void QueryStatsRequest::encode(ByteWriter &W) const {
-  W.u8(IncludePrints ? 1 : 0);
-}
-
-bool QueryStatsRequest::decode(ByteReader &R) {
-  return decodeBool(R, IncludePrints) && R.ok();
-}
-
-// --- Response bodies ---------------------------------------------------------
-
-void StatsSnapshot::encode(ByteWriter &W) const {
-  W.u32(Epoch);
-  W.u32(FullRemerges);
-  W.u32(HostReelections);
-  W.u64(QuarantinedCount);
-  W.u64(Attempts);
-  W.u64(CommittedMerges);
-  W.u64(CrossModuleMerges);
-  W.u64(SizeBefore);
-  W.u64(SizeAfter);
-  W.u64(CacheHits);
-  W.u64(HashClusterCommits);
-  W.u8(DegradedToFullRemerge ? 1 : 0);
-  W.u8(HostReelected ? 1 : 0);
-  W.u64(ModuleDigest);
-}
-
-bool StatsSnapshot::decode(ByteReader &R) {
-  Epoch = R.u32();
-  FullRemerges = R.u32();
-  HostReelections = R.u32();
-  QuarantinedCount = R.u64();
-  Attempts = R.u64();
-  CommittedMerges = R.u64();
-  CrossModuleMerges = R.u64();
-  SizeBefore = R.u64();
-  SizeAfter = R.u64();
-  CacheHits = R.u64();
-  HashClusterCommits = R.u64();
-  DegradedToFullRemerge = R.u8() != 0;
-  HostReelected = R.u8() != 0;
-  ModuleDigest = R.u64();
-  return R.ok();
-}
-
-void DaemonCounters::encode(ByteWriter &W) const {
-  W.u64(Connections);
-  W.u64(RequestsServed);
-  W.u64(DeltasApplied);
-  W.u64(TokenReplays);
-  W.u64(HealedBatches);
-  W.u64(DeadlineExpirations);
-  W.u64(ProtocolFaultsInjected);
-  W.u64(RequestErrors);
-}
-
-bool DaemonCounters::decode(ByteReader &R) {
-  Connections = R.u64();
-  RequestsServed = R.u64();
-  DeltasApplied = R.u64();
-  TokenReplays = R.u64();
-  HealedBatches = R.u64();
-  DeadlineExpirations = R.u64();
-  ProtocolFaultsInjected = R.u64();
-  RequestErrors = R.u64();
-  return R.ok();
-}
-
-void ApplyDeltaResponse::encode(ByteWriter &W) const {
-  Stats.encode(W);
-  W.u8(Replayed ? 1 : 0);
-}
-
-bool ApplyDeltaResponse::decode(ByteReader &R) {
-  if (!Stats.decode(R))
-    return false;
-  Replayed = R.u8() != 0;
-  return R.ok();
-}
-
-void QueryStatsResponse::encode(ByteWriter &W) const {
-  Stats.encode(W);
-  Daemon.encode(W);
-  encodeString(W, Prints);
-}
-
-bool QueryStatsResponse::decode(ByteReader &R) {
-  return Stats.decode(R) && Daemon.decode(R) && decodeString(R, Prints) &&
-         R.ok();
-}
-
 // --- Whole-payload helpers ---------------------------------------------------
 
 std::vector<uint8_t> salssa::buildErrorPayload(const WireRequestHeader &Req,
@@ -508,17 +260,19 @@ std::vector<uint8_t> salssa::buildErrorPayload(const WireRequestHeader &Req,
                                                const std::string &Message,
                                                uint32_t DaemonVersion) {
   ByteWriter W;
-  encodeResponseHeader(W, {Req.Kind, Req.RequestId, Status});
+  W(WireResponseHeader{Req.Kind, Req.RequestId, Status});
   if (Status == StatusCode::VersionMismatch)
-    W.u32(DaemonVersion);
-  encodeString(W, Message);
+    W(DaemonVersion);
+  W(Message);
   return W.buffer();
 }
 
 bool salssa::decodeErrorBody(ByteReader &R, StatusCode Status,
                              uint32_t &Version, std::string &Message) {
-  Version = Status == StatusCode::VersionMismatch ? R.u32() : ProtocolVersion;
-  return decodeString(R, Message) && R.ok();
+  Version = ProtocolVersion;
+  if (Status == StatusCode::VersionMismatch && !R(Version))
+    return false;
+  return R.whole(Message);
 }
 
 // --- Idempotency token cache -------------------------------------------------

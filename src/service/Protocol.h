@@ -8,22 +8,17 @@
 /// The versioned binary wire protocol between the merge daemon
 /// (service/Daemon.h, `salssad`) and its clients (service/Client.h,
 /// `salssa-client`). docs/PROTOCOL.md is the normative prose spec and is
-/// kept in lockstep with this header by a CI grep — when you add or
-/// rename a request kind, status code or frame field here, update the
-/// doc in the same commit.
+/// kept in lockstep with this header by a CI grep over its enumerators,
+/// constants and field lists — when you add or rename a request kind,
+/// status code or field here, update the doc in the same commit.
 ///
 /// ## Framing
 ///
 /// Every message travels in one length-prefixed frame over a
-/// SOCK_STREAM Unix-domain socket:
-///
-///     magic    u32   ProtocolMagic ("SLSD", little-endian)
-///     version  u32   ProtocolVersion
-///     length   u32   payload byte count, <= MaxFramePayloadBytes
-///     checksum u64   fnv1a64 over the payload bytes
-///     payload  u8[length]
-///
-/// The 20-byte header layout is frozen across protocol versions; only
+/// SOCK_STREAM Unix-domain socket: a 20-byte frame header (magic
+/// ProtocolMagic, version ProtocolVersion, payload length <=
+/// MaxFramePayloadBytes, fnv1a64 checksum of the payload), then the
+/// payload. The header layout is frozen across protocol versions; only
 /// payload contents are versioned. A reader that sees a wrong magic,
 /// an unknown version, an oversized length or a checksum mismatch
 /// reports a sticky FrameError and the connection is torn down — a
@@ -33,8 +28,13 @@
 ///
 /// ## Payloads
 ///
-/// Request payload:  kind u8 | requestId u64 | deadlineMillis u32 | body
-/// Response payload: kind u8 | requestId u64 | status u8 | body
+/// A request payload is a WireRequestHeader then the kind's body; a
+/// response payload is a WireResponseHeader then the Ok body or an error
+/// body. Every layout is one field list in "Wire layouts" at the end of
+/// this file (support/Serialization.h walks it both ways). Decoding is
+/// strict and the same for every message: booleans are 0 or 1, a body
+/// must be consumed exactly, and no string length or vector count may
+/// exceed what the bytes left can hold.
 ///
 /// `requestId` is chosen by the client and echoed verbatim; responses
 /// are matched by it. `deadlineMillis` bounds the request's total
@@ -166,12 +166,16 @@ struct WireResponseHeader {
   StatusCode Status = StatusCode::Ok;
 };
 
+/// The body of BeginDelta and Shutdown requests and of the Ok answers to
+/// BeginDelta, CheckoutForEdit and Shutdown.
+struct EmptyBody {};
+
 void encodeRequestHeader(ByteWriter &W, const WireRequestHeader &H);
 bool decodeRequestHeader(ByteReader &R, WireRequestHeader &H);
 void encodeResponseHeader(ByteWriter &W, const WireResponseHeader &H);
 bool decodeResponseHeader(ByteReader &R, WireResponseHeader &H);
 
-void encodeString(ByteWriter &W, const std::string &S);
+/// A `u32 length | bytes` string; the length must fit the bytes left.
 bool decodeString(ByteReader &R, std::string &S);
 
 // --- Request bodies ----------------------------------------------------------
@@ -227,8 +231,9 @@ struct ApplyDeltaRequest {
 // --- Request validation ------------------------------------------------------
 
 /// Bounds the daemon enforces on decoded request bodies (the decoder only
-/// checks that the bytes are there). Each value sizes real work or memory
-/// server-side, so a client must not be able to pick it freely.
+/// checks that the bytes are there and well-formed). Each value sizes real
+/// work or memory server-side, so a client must not be able to pick it
+/// freely.
 constexpr uint32_t MaxRegisteredModules = 64;
 constexpr uint32_t MaxPoolFunctions = 65536;
 constexpr uint32_t MaxGeneratedFunctionSize = 4096; ///< instructions
@@ -331,8 +336,9 @@ std::vector<uint8_t> buildErrorPayload(const WireRequestHeader &Req,
                                        const std::string &Message,
                                        uint32_t DaemonVersion = ProtocolVersion);
 
-/// Splits an error body back into (version, message). For statuses
-/// other than VersionMismatch the version slot is ProtocolVersion.
+/// Splits an error body back into (version, message); the body must be
+/// consumed exactly. For statuses other than VersionMismatch the version
+/// slot is ProtocolVersion.
 bool decodeErrorBody(ByteReader &R, StatusCode Status, uint32_t &Version,
                      std::string &Message);
 
@@ -361,6 +367,84 @@ private:
   std::map<uint64_t, std::vector<uint8_t>> ByToken;
   std::deque<uint64_t> Order;
 };
+
+// --- Wire layouts ------------------------------------------------------------
+//
+// The one field list of every header and body, in wire order: ByteWriter
+// encodes it and ByteReader decodes it (support/Serialization.h). Adding a
+// field is one entry here plus its line in docs/PROTOCOL.md, which
+// ci/check_protocol_docs.py enforces. The `unsigned` fields of the
+// workload specs travel as u32.
+
+static_assert(sizeof(unsigned) == 4, "u32 wire fields are declared unsigned");
+
+template <typename IO> void fields(IO &F, WireRequestHeader &H) {
+  F(H.Kind, H.RequestId, H.DeadlineMillis);
+}
+
+template <typename IO> void fields(IO &F, WireResponseHeader &H) {
+  F(H.Kind, H.RequestId, H.Status);
+}
+
+template <typename IO> void fields(IO &, EmptyBody &) {}
+
+template <typename IO> void fields(IO &F, BenchmarkProfile &P) {
+  F(P.Name, P.NumFunctions, P.MinSize, P.AvgSize, P.MaxSize,
+    P.CloneFamilyPercent, P.MinFamily, P.MaxFamily, P.FamilyDriftPercent,
+    P.SyntacticDriftPercent, P.LoopPercent, P.InvokePercent, P.GiantPairSize,
+    P.RetTypeVariety, P.Seed);
+}
+
+template <typename IO> void fields(IO &F, RegisterModulesRequest &M) {
+  F(M.Profile, M.NumModules, M.Selection, M.NumThreads, M.ShardCount,
+    M.ExplorationThreshold, M.Host, M.HashClustering, M.Canonicalize,
+    M.DecisionCachePath, M.QuarantineDecayEpochs);
+}
+
+template <typename IO> void fields(IO &F, CheckoutRequest &C) {
+  F(C.ModuleIdx, C.Name);
+}
+
+template <typename IO> void fields(IO &F, EditOp &O) {
+  F(O.K, O.ModuleIdx, O.Name, O.OpSeed);
+}
+
+template <typename IO> void fields(IO &F, EditStepSpec &S) {
+  F(S.Deletes, S.Changes, S.Adds, S.Drift.MutatePercent,
+    S.Drift.InsertPercent, S.Drift.SyntacticPercent, S.Generate.TargetSize,
+    S.Generate.ControlFlowPercent, S.Generate.LoopPercent,
+    S.Generate.JoinPhiPercent, S.Generate.InvokePercent, S.Generate.MaxDepth,
+    S.Generate.RetTypeVariety);
+}
+
+template <typename IO> void fields(IO &F, ApplyDeltaRequest &A) {
+  F(A.Token, A.Spec);
+}
+
+template <typename IO> void fields(IO &F, QueryStatsRequest &Q) {
+  F(Q.IncludePrints);
+}
+
+template <typename IO> void fields(IO &F, StatsSnapshot &S) {
+  F(S.Epoch, S.FullRemerges, S.HostReelections, S.QuarantinedCount,
+    S.Attempts, S.CommittedMerges, S.CrossModuleMerges, S.SizeBefore,
+    S.SizeAfter, S.CacheHits, S.HashClusterCommits, S.DegradedToFullRemerge,
+    S.HostReelected, S.ModuleDigest);
+}
+
+template <typename IO> void fields(IO &F, DaemonCounters &C) {
+  F(C.Connections, C.RequestsServed, C.DeltasApplied, C.TokenReplays,
+    C.HealedBatches, C.DeadlineExpirations, C.ProtocolFaultsInjected,
+    C.RequestErrors);
+}
+
+template <typename IO> void fields(IO &F, ApplyDeltaResponse &A) {
+  F(A.Stats, A.Replayed);
+}
+
+template <typename IO> void fields(IO &F, QueryStatsResponse &Q) {
+  F(Q.Stats, Q.Daemon, Q.Prints);
+}
 
 } // namespace salssa
 

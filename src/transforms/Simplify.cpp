@@ -256,17 +256,27 @@ Value *salssa::simplifyInstructionValue(Instruction *I, Context &Ctx) {
 unsigned salssa::removeUnreachableBlocks(Function &F) {
   if (F.isDeclaration())
     return 0;
-  CFGInfo CFG(F);
-  if (CFG.getNumReachableBlocks() == F.getNumBlocks())
+  // Reachability only: a depth-first walk from the entry. This runs every
+  // simplify round, so it builds no order and no predecessor lists.
+  std::unordered_set<const BasicBlock *> Reached{F.getEntryBlock()};
+  std::vector<BasicBlock *> Stack{F.getEntryBlock()};
+  while (!Stack.empty()) {
+    BasicBlock *BB = Stack.back();
+    Stack.pop_back();
+    for (BasicBlock *Succ : BB->successors())
+      if (Reached.insert(Succ).second)
+        Stack.push_back(Succ);
+  }
+  if (Reached.size() == F.getNumBlocks())
     return 0;
   std::vector<BasicBlock *> Dead;
   for (BasicBlock *BB : F)
-    if (!CFG.isReachable(BB))
+    if (!Reached.count(BB))
       Dead.push_back(BB);
   // Remove phi entries in surviving blocks that came from dead edges.
   for (BasicBlock *BB : Dead)
     for (BasicBlock *Succ : BB->successors())
-      if (CFG.isReachable(Succ))
+      if (Reached.count(Succ))
         Succ->removePredecessorEntries(BB);
   // Sever all cross references, then delete.
   for (BasicBlock *BB : Dead)

@@ -26,7 +26,8 @@
 //     armed faults its failures are counted and strike the quarantine
 //     ladder exactly like a live attempt's.
 //  7. The file bytes of one fixed cache are pinned, so a field moved in
-//     both save() and load() cannot pass as a round trip.
+//     both save() and load() cannot pass as a round trip, and a record
+//     byte that is not a valid boolean rejects the file.
 //
 //===----------------------------------------------------------------------===//
 
@@ -598,6 +599,47 @@ TEST(DecisionCacheTest, RoundTripPreservesDecisionsExactly) {
   EXPECT_EQ(Refused.load(Path, 0xbeefULL, nullptr),
             DecisionCache::LoadOutcome::Rejected);
   EXPECT_TRUE(Refused.empty());
+  std::remove(Path.c_str());
+}
+
+TEST(DecisionCacheTest, NonBooleanRecordBytesAreRejected) {
+  // The cache decodes by the wire protocol's strict rules: a Profitable
+  // byte other than 0/1, or a vote-flag bit beyond the three flags, is a
+  // damaged file even under a valid checksum.
+  CachedAttempt A;
+  A.Partner = {{0x11, 0x22}, 3};
+  A.Profitable = true;
+  CachedDecision D;
+  D.Attempts = {A};
+  D.Winner = 0;
+  D.VoteTallied = true;
+  DecisionCache Cache;
+  std::vector<DecisionCacheUpdate> Updates;
+  Updates.push_back({{{0x33, 0x44}, 0}, D});
+  Cache.apply(std::move(Updates));
+  std::string Path = cachePath("strict");
+  ASSERT_TRUE(Cache.save(Path, 0xfeedULL, nullptr));
+  const std::vector<uint8_t> Valid = fileBytes(Path);
+  // 32-byte header, u64 count, 20-byte key, i32 winner, then the flags.
+  const size_t FlagsAt = 32 + 8 + 20 + 4;
+  // Flags, u32 attempt count, 20-byte partner key, distance, profit.
+  const size_t ProfitableAt = FlagsAt + 1 + 4 + 20 + 8 + 8;
+  ASSERT_EQ(Valid[FlagsAt], 1u);
+  ASSERT_EQ(Valid[ProfitableAt], 1u);
+  for (auto [At, Byte] : {std::pair<size_t, uint8_t>{FlagsAt, 0x09},
+                          std::pair<size_t, uint8_t>{ProfitableAt, 2}}) {
+    std::vector<uint8_t> Bad = Valid;
+    Bad[At] = Byte;
+    uint64_t Sum = fnv1a64(Bad.data() + 32, Bad.size() - 32);
+    for (size_t I = 0; I < 8; ++I) // the payload checksum: header bytes 24..31
+      Bad[24 + I] = static_cast<uint8_t>(Sum >> (8 * I));
+    ASSERT_TRUE(writeFileBytes(Path, Bad));
+    DecisionCache Loaded;
+    EXPECT_EQ(Loaded.load(Path, 0xfeedULL, nullptr),
+              DecisionCache::LoadOutcome::Rejected)
+        << "byte " << At;
+    EXPECT_TRUE(Loaded.empty());
+  }
   std::remove(Path.c_str());
 }
 

@@ -11,8 +11,9 @@
 //   - malformed frames (bad magic, wrong version, oversized length,
 //     corrupt checksum, truncation) are rejected with the right sticky
 //     FrameError and never yield a payload;
-//   - every request/response struct round-trips byte-exactly and
-//     rejects truncated bodies cleanly;
+//   - every request/response struct round-trips byte-exactly, rejects
+//     truncated bodies cleanly, and decodes only to its exact bytes (no
+//     trailing byte, no boolean other than 0/1);
 //   - the version-mismatch handshake carries the daemon version;
 //   - golden bytes: one fixed value of each header, request, response
 //     and error payload encodes to pinned bytes and decodes back;
@@ -646,6 +647,36 @@ TEST(GoldenBytes, ErrorPayloads) {
                            : ProtocolVersion);
     EXPECT_EQ(Message, "no");
   }
+}
+
+TEST(Payloads, EveryBodyDecodesOnlyToItsExactBytes) {
+  // One decoding rule for requests and responses alike: a body decodes
+  // only when it re-encodes to exactly its bytes. Setting any byte to 2
+  // (a boolean of 2 among them) or appending one must never be accepted
+  // and normalized.
+  auto check = [](const auto &Value) {
+    using T = std::decay_t<decltype(Value)>;
+    const std::vector<uint8_t> Good = bodyBytes(Value);
+    for (size_t At = 0; At <= Good.size(); ++At) {
+      std::vector<uint8_t> Bad = Good;
+      if (At == Good.size())
+        Bad.push_back(0);
+      else
+        Bad[At] = 2;
+      T Back;
+      ByteReader R(Bad.data(), Bad.size());
+      if (Back.decode(R))
+        EXPECT_EQ(hexOf(bodyBytes(Back)), hexOf(Bad)) << "byte " << At;
+    }
+  };
+  check(goldenRegister());
+  check(CheckoutRequest{7, "fn"});
+  check(goldenApply());
+  check(QueryStatsRequest{true});
+  check(goldenStats());
+  check(goldenCounters());
+  check(ApplyDeltaResponse{goldenStats(), true});
+  check(QueryStatsResponse{goldenStats(), goldenCounters(), "p!"});
 }
 
 //===----------------------------------------------------------------------===//

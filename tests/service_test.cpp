@@ -23,7 +23,8 @@
 //     responsive).
 //  4. Error paths and the admission deadline — clean per-request status
 //     codes, idempotent re-registration, retry-token replay over the
-//     wire, DeadlineExpired on lease timeout.
+//     wire, out-of-bounds and malformed bodies of every kind answered
+//     BadFrame, DeadlineExpired on lease timeout.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +32,7 @@
 #include "merge/MergeService.h"
 #include "service/Client.h"
 #include "service/Daemon.h"
+#include "service/Socket.h"
 #include "support/RNG.h"
 #include "workloads/EditScript.h"
 #include "workloads/Suites.h"
@@ -40,7 +42,9 @@
 #include <cstdio>
 #include <functional>
 #include <mutex>
+#include <sys/socket.h>
 #include <thread>
+#include <unistd.h>
 
 using namespace salssa;
 
@@ -666,6 +670,104 @@ TEST(ServiceDaemon, OutOfBoundsApplyDeltaIsBadFrame) {
   DaemonClient::Result R = Client.applyDelta(EditStepSpec(), ++Token, Resp);
   ASSERT_EQ(R.Status, StatusCode::Ok) << R.ErrorMessage;
   EXPECT_EQ(Resp.Stats.ModuleDigest, Init.ModuleDigest);
+  D.stop();
+}
+
+/// The daemon's answer to one hand-built request payload.
+struct RawAnswer {
+  bool Received = false;
+  WireResponseHeader Hdr;
+  std::string Message;
+};
+
+/// Sends \p Kind with the raw \p Body on a fresh connection: bodies
+/// DaemonClient cannot produce (truncated, trailing bytes, bad booleans).
+RawAnswer rawRequest(const std::string &Socket, RequestKind Kind,
+                     const std::vector<uint8_t> &Body) {
+  RawAnswer A;
+  sockaddr_un Addr;
+  if (!unixSocketAddress(Socket, Addr))
+    return A;
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0)
+    return A;
+  timeval Timeout{10, 0}; // a daemon that never answers fails the test
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  std::vector<uint8_t> Payload =
+      toBytes(WireRequestHeader{Kind, 0x7E57, 0});
+  Payload.insert(Payload.end(), Body.begin(), Body.end());
+  FrameAssembler Asm;
+  std::vector<uint8_t> Reply;
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) == 0 &&
+      sendAll(Fd, encodeFrame(Payload))) {
+    uint8_t Buf[4096];
+    ssize_t N = 0;
+    while (!(A.Received = Asm.next(Reply)) &&
+           (N = ::recv(Fd, Buf, sizeof(Buf), 0)) > 0)
+      Asm.feed(Buf, static_cast<size_t>(N));
+  }
+  ::close(Fd);
+  ByteReader R(Reply.data(), Reply.size());
+  A.Received = A.Received && decodeResponseHeader(R, A.Hdr);
+  uint32_t Version = 0;
+  if (A.Received && A.Hdr.Status != StatusCode::Ok)
+    decodeErrorBody(R, A.Hdr.Status, Version, A.Message);
+  return A;
+}
+
+TEST(ServiceDaemon, MalformedBodiesOfEveryKindAreBadFrame) {
+  // One decoding rule for every request kind: a truncated body, a boolean
+  // byte other than 0/1, or bytes after the body answer BadFrame, count in
+  // RequestErrors and change nothing.
+  std::string Socket = socketPath("malformed");
+  DaemonOptions DOpts;
+  DOpts.SocketPath = Socket;
+  Daemon D(DOpts);
+  ASSERT_TRUE(D.start()) << D.lastError();
+  DaemonClient Client(clientOptions(Socket));
+  StatsSnapshot Init;
+  ASSERT_EQ(Client.registerModules(registerRequest(1, 1), Init).Status,
+            StatusCode::Ok);
+  ApplyDeltaRequest Apply;
+  Apply.Token = 0xBAD;
+  auto withTrailingByte = [](std::vector<uint8_t> Bytes) {
+    Bytes.push_back(0);
+    return Bytes;
+  };
+  const std::vector<std::tuple<const char *, RequestKind, std::vector<uint8_t>>>
+      Cases = {
+          {"QueryStats truncated", RequestKind::QueryStats, {}},
+          {"QueryStats IncludePrints 2", RequestKind::QueryStats, {2}},
+          {"RegisterModules trailing byte", RequestKind::RegisterModules,
+           withTrailingByte(toBytes(registerRequest(1, 1)))},
+          {"BeginDelta trailing byte", RequestKind::BeginDelta, {0}},
+          {"CheckoutForEdit trailing byte", RequestKind::CheckoutForEdit,
+           withTrailingByte(toBytes(CheckoutRequest{0, "f"}))},
+          {"ApplyDelta trailing byte", RequestKind::ApplyDelta,
+           withTrailingByte(toBytes(Apply))},
+          {"QueryStats trailing byte", RequestKind::QueryStats, {0, 0}},
+          {"Shutdown trailing byte", RequestKind::Shutdown, {0}},
+      };
+  const uint64_t ErrorsBefore = D.counters().RequestErrors;
+  for (const auto &[Name, Kind, Body] : Cases) {
+    SCOPED_TRACE(Name);
+    RawAnswer A = rawRequest(Socket, Kind, Body);
+    ASSERT_TRUE(A.Received);
+    EXPECT_EQ(A.Hdr.Kind, Kind);
+    EXPECT_EQ(A.Hdr.Status, StatusCode::BadFrame);
+    EXPECT_FALSE(A.Message.empty());
+  }
+  EXPECT_EQ(D.counters().RequestErrors - ErrorsBefore, Cases.size());
+  // The daemon still serves, nothing shut down or changed the session.
+  EXPECT_TRUE(D.running());
+  QueryStatsResponse Stats;
+  ASSERT_EQ(Client.queryStats(false, Stats).Status, StatusCode::Ok);
+  EXPECT_EQ(Stats.Stats.Epoch, Init.Epoch);
+  EXPECT_EQ(Stats.Stats.ModuleDigest, Init.ModuleDigest);
+  ApplyDeltaResponse Resp;
+  ASSERT_EQ(Client.applyStep(EditStepSpec(), Apply.Token, Resp).Status,
+            StatusCode::Ok);
+  EXPECT_FALSE(Resp.Replayed) << "a refused ApplyDelta filled the token cache";
   D.stop();
 }
 
