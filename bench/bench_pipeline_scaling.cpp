@@ -4,7 +4,7 @@
 //
 // Measures the staged merge driver (MergePipeline) as the worker count
 // grows on a fixed clone-heavy pool. The serial path (1 thread) is the
-// legacy driver; every other row runs the optimistic rounds described in
+// legacy driver; every other row runs the attempt stream described in
 // merge/README.md. Committed merges, records and final module bytes are
 // identical across rows by construction — the table verifies that on
 // every run — so the comparison is pure attempt-stage wall time.
@@ -18,7 +18,9 @@
 //              (exit 1) if outcomes differ or the multi-thread driver
 //              falls below serial throughput (with head-room for
 //              single-core machines, where threading can only add
-//              overhead) — wired into ctest as a regression guard.
+//              overhead) — wired into ctest as a regression guard. Its
+//              JSON line carries the stream's speculative_attempts,
+//              speculative_discarded and inline_reattempts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -140,6 +142,9 @@ int smokeMode() {
       Json.add("serial_seconds", Serial.TotalSeconds);
       Json.add("multi_seconds", Multi.TotalSeconds);
       Json.add("commits", Multi.CommittedMerges);
+      Json.add("speculative_attempts", Multi.SpeculativeAttempts);
+      Json.add("speculative_discarded", Multi.SpeculativeDiscarded);
+      Json.add("inline_reattempts", Multi.InlineReattempts);
       std::printf("PASS: multi-thread throughput is %.2fx of serial "
                   "(threshold %.2fx)\n", Speedup, NeedSpeedup);
       return 0;

@@ -34,11 +34,11 @@ public:
   const std::string &getName() const { return Name; }
   Context &getContext() { return Ctx; }
 
-  /// Staging provenance: the merge pipeline marks its per-worker
-  /// scratch modules so commit-time checks can tell "speculative
-  /// function still in a worker's staging module" from "function in a
-  /// real module" structurally (not by naming convention). Nothing else
-  /// should set this.
+  /// Staging provenance: the merge pipeline marks its per-task scratch
+  /// modules so commit-time checks can tell "speculative function still
+  /// in a task's staging module" from "function in a real module"
+  /// structurally (not by naming convention). Nothing else should set
+  /// this.
   void setStaging(bool S) { Staging = S; }
   bool isStaging() const { return Staging; }
 
@@ -56,7 +56,7 @@ public:
   /// Releases ownership of \p F without destroying it (the inverse of
   /// adoptFunction). The function keeps its body but has no parent until
   /// adopted elsewhere. Used by the merge pipeline to move speculative
-  /// functions out of per-worker staging modules.
+  /// functions out of per-task staging modules.
   std::unique_ptr<Function> takeFunction(Function *F);
 
   /// Adopts \p F (previously released with takeFunction) under

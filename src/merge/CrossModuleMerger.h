@@ -51,7 +51,7 @@
 /// Host module: every merged function materializes in exactly one
 /// designated module, the *host* (default: the first registered module).
 /// Attempts build merged functions in per-class scratch modules (and
-/// per-worker staging modules); the splice moves every winner into the
+/// per-task staging modules); the splice moves every winner into the
 /// host with Module::takeFunction/adoptFunction, and the commit stage
 /// rewrites both inputs — in whichever modules they live — into thunks
 /// that tail-call the merged function. Thunks keep each input's name,

@@ -270,7 +270,7 @@ void salssa::commitMerge(MergeAttempt &Attempt, Context &Ctx) {
   assert(Attempt.Valid && "committing an invalid attempt");
   // The merged function may live in a different module than the inputs
   // (cross-module commits thunk into the host module); it must only
-  // have left any per-worker staging module by now (structural check
+  // have left any per-task staging module by now (structural check
   // via Module::isStaging).
   assert(Attempt.Gen.Merged->getParent() != nullptr &&
          !Attempt.Gen.Merged->getParent()->isStaging() &&

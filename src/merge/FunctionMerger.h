@@ -149,9 +149,9 @@ struct ProfitModel {
 /// When \p StagingModule is non-null the speculative merged function is
 /// built there instead of F1's module. This is what makes the attempt
 /// re-entrant across threads: the inputs' module is only read, and each
-/// worker owns its own staging module (see MergePipeline). A staged
-/// winner is moved into the real module with adoptMergedFunction before
-/// committing.
+/// speculative task owns its own staging module (see MergePipeline). A
+/// staged winner is moved into the real module with adoptMergedFunction
+/// before committing.
 ///
 /// \p Budget, when non-null, bounds the attempt's resources (see
 /// AttemptBudget): a capped-out attempt returns Valid == false with

@@ -180,17 +180,18 @@ struct MergeRecord {
 /// Aggregate results of one pass execution.
 ///
 /// Threading semantics of the timing fields: AlignmentSeconds and
-/// CodeGenSeconds are *CPU* seconds, accumulated per worker (each worker
-/// owns its accumulator; the pipeline sums them in worker order at join,
-/// then adds the driver thread's inline attempts). With NumThreads == 1
-/// they degenerate to the historical serial accounting; with threads
-/// they can legitimately exceed TotalSeconds (overlapping workers) and
-/// include speculative work later discarded at commit. Summing raw
-/// wall-clock intervals from one global clock would instead double-count
-/// overlapped work — that is the accounting bug this scheme replaces.
-/// RankingSeconds stays a driver-thread wall time (ranking is serial by
-/// design; in parallel runs it includes both the snapshot ranking and
-/// the commit-time re-validation). TotalSeconds is whole-pass wall time.
+/// CodeGenSeconds are *CPU* seconds, accumulated per speculative task
+/// (each task owns its accumulator; the pipeline sums them in task
+/// creation order once the attempt stream drains, plus the commit
+/// thread's inline attempts). With NumThreads == 1 they degenerate to
+/// the historical serial accounting; with threads they can legitimately
+/// exceed TotalSeconds (overlapping workers) and include speculative
+/// work later discarded at commit. Summing raw wall-clock intervals from
+/// one global clock would instead double-count overlapped work — that is
+/// the accounting bug this scheme replaces. RankingSeconds stays a
+/// commit-thread wall time (ranking is serial by design; in parallel
+/// runs it includes both the look-ahead ranking and the commit-time
+/// re-validation). TotalSeconds is whole-pass wall time.
 struct MergeDriverStats {
   unsigned Attempts = 0;         ///< serial-order attempts (see Records)
   unsigned ProfitableMerges = 0; ///< the Fig 21 metric
@@ -209,15 +210,23 @@ struct MergeDriverStats {
   /// intentionally not recorded — they have no serial counterpart).
   std::vector<MergeRecord> Records;
 
-  // Pipeline instrumentation: only ever non-zero when the optimistic
-  // parallel path ran.
-  /// Attempts executed by workers: live snapshot attempts, and on a warm
-  /// run the replayed winners workers built from recorded alignments.
+  // Pipeline instrumentation: only ever non-zero when the attempt stream
+  // (NumThreads > 1) ran. The first three depend on scheduling — on
+  // which tasks a worker started before the commit thread reached their
+  // entry — so they vary from run to run; CommitConflicts, like the
+  // pairing-work counters below, depends only on the pool and the thread
+  // count.
+  /// Attempts executed by workers: live look-ahead attempts, and on a
+  /// warm run the replayed winners workers built from recorded
+  /// alignments.
   unsigned SpeculativeAttempts = 0;
-  unsigned SpeculativeDiscarded = 0; ///< speculative attempts thrown away
-  unsigned InlineReattempts = 0; ///< commit-stage re-runs after conflicts
-  /// Entries that speculated and whose snapshot ranking staled by commit
-  /// time.
+  unsigned SpeculativeDiscarded = 0; ///< worker attempts no commit took
+  /// Attempts the commit stage ran inline for an entry that did have
+  /// finished worker attempts: candidates the look-ahead missed, and
+  /// candidates whose task no worker had started by the entry's turn.
+  unsigned InlineReattempts = 0;
+  /// Entries ranked ahead of their turn whose latest look-ahead ranking
+  /// differed from the commit-time one (a remerge entered the slate).
   unsigned CommitConflicts = 0;
 
   // Failure containment (the attempt guard / commit firewall /
@@ -230,10 +239,11 @@ struct MergeDriverStats {
   unsigned VerifierRejects = 0; ///< would-be winners the firewall rolled back
   unsigned QuarantinedFunctions = 0; ///< pool entries retired by the ladder
   // The two below are parallel-only wastage counters (0 in serial runs,
-  // like SpeculativeAttempts — speculative failures are re-observed and
-  // re-counted authoritatively when the commit stage re-runs the pair):
+  // and scheduling-dependent like SpeculativeAttempts — speculative
+  // failures are re-observed and re-counted authoritatively when the
+  // commit stage re-runs the pair):
   unsigned SpeculativeFailures = 0; ///< worker-side attempt guard catches
-  unsigned TaskFailures = 0; ///< whole worker tasks recovered (per-task guard)
+  unsigned TaskFailures = 0; ///< worker tasks recovered (per-task guard)
 
   // Selection instrumentation (SelectionStrategy::Adaptive; for the
   // other modes both fields echo Options.ExplorationThreshold). The

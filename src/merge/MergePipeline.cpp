@@ -11,8 +11,9 @@
 #include "support/ThreadPool.h"
 #include "transforms/Canonicalize.h"
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -20,12 +21,21 @@ using namespace salssa;
 
 namespace {
 
-/// Moves an attempt out of its task slot, leaving the slot inert so
-/// discardRemaining cannot double-free the speculative function.
+/// Moves an attempt out of its task slot, leaving the slot inert so the
+/// task's release does not count it as discarded.
 MergeAttempt takeAttempt(MergeAttempt &Slot) {
-  MergeAttempt A = Slot;
+  MergeAttempt A = std::move(Slot);
   Slot = MergeAttempt();
   return A;
+}
+
+/// Forgets an attempt that will not commit. A function built inline is
+/// erased from the scratch module here; one a worker built stays in its
+/// task's staging module, which that worker destroys whole.
+void dropAttempt(MergeAttempt &A) {
+  if (A.Valid && !A.Gen.Merged->getParent()->isStaging())
+    discardMerge(A);
+  A = MergeAttempt();
 }
 
 /// The alignment a cached winner offers back to attemptMerge.
@@ -278,15 +288,6 @@ std::vector<CandidateIndex::Hit> MergePipeline::rank(size_t I) {
 // Commit stage
 //===----------------------------------------------------------------------===//
 
-void MergePipeline::discardRemaining(AttemptTask &Spec) {
-  for (MergeAttempt &A : Spec.Attempts) {
-    if (!A.Valid)
-      continue;
-    discardMerge(A);
-    ++Stats.SpeculativeDiscarded;
-  }
-}
-
 MergeAttempt MergePipeline::guardedAttempt(Function &F1, Function &F2,
                                            unsigned SizeF1, unsigned SizeF2,
                                            Module *Target,
@@ -342,22 +343,12 @@ void MergePipeline::noteAttemptFailure(size_t EntryIdx, uint32_t PartnerId) {
   quarantineIfStruckOut(PartnerId);
 }
 
-void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
-  if (Pool[I].Consumed) {
-    // Consumed by an earlier commit (serial: as the partner of an
-    // earlier entry; parallel: likewise, only discovered after the
-    // snapshot attempts already ran).
-    if (Spec)
-      discardRemaining(*Spec);
-    Journal.push_back(PipelineEntryTrace());
-    return;
-  }
-  // Quarantine gate: strikes accrued as a partner of earlier entries may
-  // already have condemned this one — retire it before paying for its
-  // slate. The journal still gets this entry's (empty) slot.
-  if (quarantineIfStruckOut(I)) {
-    if (Spec)
-      discardRemaining(*Spec);
+void MergePipeline::commitEntry(size_t I, Speculation *Spec) {
+  // Consumed by an earlier commit (as the partner of an earlier entry), or
+  // — the quarantine gate — condemned by strikes accrued as a partner of
+  // earlier entries: retire it before paying for its slate. The journal
+  // still gets this entry's (empty) slot.
+  if (Pool[I].Consumed || quarantineIfStruckOut(I)) {
     Journal.push_back(PipelineEntryTrace());
     return;
   }
@@ -369,17 +360,19 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
   // against the live pool; every other entry ranks, and counts a miss
   // when a cache is attached. A worker-built winner of a missed replay is
   // dropped first: the live path must never reuse an attempt built from
-  // a cached alignment, so it runs the entry like an inert task.
+  // a cached alignment, so it runs the entry as if nothing speculated.
   std::vector<CandidateIndex::Hit> Candidates;
   const CachedDecision *Hit = Cache ? cachedSlate(I, Candidates) : nullptr;
   if (Hit) {
     ++Stats.CacheHits;
   } else {
     if (Cache) {
-      if (Spec && Spec->Replay) {
-        discardRemaining(*Spec);
-        Spec = nullptr;
-      }
+      if (Spec)
+        Spec->Done.erase(std::remove_if(Spec->Done.begin(), Spec->Done.end(),
+                                        [](const AttemptTask *T) {
+                                          return T->Replay != nullptr;
+                                        }),
+                         Spec->Done.end());
       ++Stats.CacheMisses;
     }
     // Pairing phase: rank the other live candidates by fingerprint
@@ -387,14 +380,15 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
     // against the *current* pool — the optimistic conflict rule: only
     // candidates still in this authoritative list may reuse their
     // speculative attempt (both inputs then provably unchanged since the
-    // snapshot), everything else is redone inline.
+    // look-ahead ranking), everything else is redone inline.
     Candidates = rank(I);
-    if (Spec && !std::equal(Candidates.begin(), Candidates.end(),
-                            Spec->Hits.begin(), Spec->Hits.end(),
-                            [](const CandidateIndex::Hit &A,
-                               const CandidateIndex::Hit &B) {
-                              return A.Id == B.Id && A.Distance == B.Distance;
-                            }))
+    if (Spec && Spec->Slate &&
+        !std::equal(Candidates.begin(), Candidates.end(), Spec->Slate->begin(),
+                    Spec->Slate->end(),
+                    [](const CandidateIndex::Hit &A,
+                       const CandidateIndex::Hit &B) {
+                      return A.Id == B.Id && A.Distance == B.Distance;
+                    }))
       ++Stats.CommitConflicts;
   }
   // Recording: a ranked entry is cacheable only when its whole slate ran
@@ -508,23 +502,20 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
         ++Stats.VerifierRejects;
         Stats.Records[RecIdx].Stats.VerifierRejected = true;
         noteAttemptFailure(I, R.Id);
-        discardMerge(A);
+        dropAttempt(A);
         Recordable = false;
         continue;
       }
-      if (Best.Valid)
-        discardMerge(Best);
-      Best = A;
+      dropAttempt(Best);
+      Best = std::move(A);
       BestIdx = R.Id;
       BestRecord = RecIdx;
       BestSlate = Slate;
       BestName = StagedName;
     } else {
-      discardMerge(A);
+      dropAttempt(A);
     }
   }
-  if (Spec)
-    discardRemaining(*Spec);
 
   // Adaptive exploration: widen t when profit keeps showing up at the
   // tail of a full slate (exploration is paying), shrink it back toward
@@ -588,17 +579,17 @@ void MergePipeline::commitEntry(size_t I, AttemptTask *Spec) {
 }
 
 MergeAttempt MergePipeline::attemptAt(size_t I, uint32_t PartnerIdx,
-                                      AttemptTask *Spec,
+                                      Speculation *Spec,
                                       std::string &StagedName,
                                       const AlignmentReplay *Replay) {
   Function *F1 = Pool[I].F;
   if (Spec)
-    for (size_t S = 0; S < Spec->Hits.size(); ++S)
-      if (Spec->Hits[S].Id == PartnerIdx && Spec->Attempts[S].Valid) {
-        // Replay the name id the serial generator would have consumed
-        // for this attempt; a winner is adopted under it (commitWinner).
+    for (AttemptTask *T : Spec->Done)
+      if (T->PartnerIdx == PartnerIdx && T->Attempt.Valid) {
+        // Replay the name id the serial generator would have consumed for
+        // this attempt; a winner is adopted under it (commitWinner).
         StagedName = Materialize.makeUniqueName(F1->getName() + ".m");
-        return takeAttempt(Spec->Attempts[S]);
+        return takeAttempt(T->Attempt);
       }
   // Inline attempts generate directly into the class's scratch module,
   // burning its name counter once per attempt. Guarded: a faulted pair
@@ -609,10 +600,10 @@ MergeAttempt MergePipeline::attemptAt(size_t I, uint32_t PartnerIdx,
       guardedAttempt(*F1, *Pool[PartnerIdx].F, Pool[I].CostSize,
                      Pool[PartnerIdx].CostSize, &Materialize,
                      /*Failures=*/nullptr, Replay);
-  // Driver-thread accumulator (workers own theirs; see MergeDriverStats).
+  // Commit-thread accumulator (tasks keep theirs; see MergeDriverStats).
   Stats.AlignmentSeconds += A.Stats.AlignmentSeconds;
   Stats.CodeGenSeconds += A.Stats.CodeGenSeconds;
-  if (Spec)
+  if (Spec && !Spec->Done.empty())
     ++Stats.InlineReattempts;
   return A;
 }
@@ -622,14 +613,13 @@ void MergePipeline::commitWinner(size_t I, size_t PartnerIdx,
                                  const std::string &StagedName,
                                  size_t BestRecord, size_t WinnerOffset,
                                  PipelineEntryTrace &Trace) {
-  // A reused speculative attempt lives in its worker's staging module;
+  // A reused speculative attempt lives in its task's staging module;
   // inline attempts already generated into Materialize.
   if (!StagedName.empty())
     adoptMergedFunction(Best, Materialize, StagedName);
-  // Thunk both inputs (each in its own module), retire them from the
-  // pool, and offer the merged function — which lives in the
-  // materialization module — for further merging.
-  commitMerge(Best, Host.getContext());
+  // Retire both inputs from the pool and offer the merged function —
+  // which lives in the materialization module — for further merging.
+  // Their thunks are built by run(), once no task can read them.
   ++Stats.CommittedMerges;
   if (Pool[I].ModuleId != Pool[PartnerIdx].ModuleId)
     ++Stats.CrossModuleMerges;
@@ -657,6 +647,8 @@ void MergePipeline::commitWinner(size_t I, size_t PartnerIdx,
       assignCacheKey(Pool.size() - 1);
   }
   Journal.push_back(std::move(Trace));
+  Best.AlignEntries = {}; // recorded already; the thunks need none of it
+  Thunks.push_back(std::move(Best));
 }
 
 const CachedDecision *
@@ -691,179 +683,305 @@ void MergePipeline::runSerial() {
     commitEntry(I, nullptr);
 }
 
+/// What the commit thread shares with the attempt workers. Every task
+/// lives until the stream drains, since a worker may still be finishing
+/// one whose entry was consumed. Task states, the queue and the staging
+/// modules handed back are guarded by Mutex; everything else is the commit
+/// thread's.
+struct MergePipeline::Stream {
+  /// The look-ahead state of one pool entry.
+  struct Ahead {
+    /// The entry's latest ranking ahead of its turn, when Ranked.
+    std::vector<CandidateIndex::Hit> Slate;
+    bool Ranked = false;
+    std::vector<AttemptTask *> Tasks;
+  };
+
+  Stream(unsigned NumThreads, std::string StagingName)
+      : StagingName(std::move(StagingName)), Workers(NumThreads) {}
+
+  /// Hands \p T's staging module back to the worker that built it, to
+  /// destroy before its next task, noting whether the commit stage left
+  /// its attempt unused. Caller holds Mutex.
+  void handBack(AttemptTask &T) {
+    T.Discarded = T.Attempt.Valid;
+    T.Attempt = MergeAttempt();
+    if (T.Staging)
+      Dead[T.Builder].push_back(std::move(T.Staging));
+  }
+
+  const std::string StagingName;
+  std::vector<Ahead> Entries; ///< by pool index
+  size_t Next = 0;            ///< the next entry to look ahead at
+  std::vector<std::unique_ptr<AttemptTask>> Tasks; ///< in creation order
+  /// Partners that the replays looked at so far are recorded to consume,
+  /// by cache key: a remerge partner may not exist yet when its replay is
+  /// looked at. They have no cached decision of their own (the cold run
+  /// consumed them before their turn), so without this set a warm run
+  /// would rank and speculate them at full cost only to discard
+  /// everything at commit.
+  std::set<DecisionKey> ReplayConsumes;
+
+  std::mutex Mutex;
+  std::condition_variable Finished; ///< a task left State::Running
+  /// Queued tasks, most urgent first: by entry, then creation order.
+  std::map<std::pair<uint32_t, uint32_t>, AttemptTask *> Queue;
+  /// Staging modules handed back, by the worker that built them. Memory
+  /// freed on the thread that allocated it goes back to that thread's
+  /// allocator caches; freed on another worker, the bench_pipeline_scaling
+  /// pool took about a third more wall time at 4 threads.
+  std::map<std::thread::id, std::vector<std::unique_ptr<Module>>> Dead;
+  ThreadPool Workers; ///< last: joined before the state above dies
+};
+
 void MergePipeline::runParallel(unsigned NumThreads) {
-  ThreadPool Workers(NumThreads);
-  std::vector<WorkerState> State(Workers.numThreads());
-  for (size_t W = 0; W < State.size(); ++W) {
-    State[W].Staging = std::make_unique<Module>(
-        Host.getName() + ".staging" + std::to_string(W), Host.getContext());
-    State[W].Staging->setStaging(true);
+  Stream S(NumThreads, Materialize.getName() + ".staging");
+  const size_t Lookahead =
+      size_t(LookaheadPerThread) * S.Workers.numThreads();
+  // One in-order stream, no barrier: before entry C's turn every live
+  // entry in [C, C + Lookahead] has been ranked and its task queued, and
+  // after C commits, the fixed point re-ranks what the commit staled.
+  // Every ranking happens here, on the commit thread, at points the
+  // commit cursor alone fixes, so the pairing work repeats exactly.
+  for (size_t C = 0; C < Pool.size(); ++C) {
+    S.Entries.resize(Pool.size());
+    for (; S.Next < Pool.size() && S.Next <= C + Lookahead; ++S.Next)
+      lookAhead(S, S.Next);
+    Speculation Spec = claim(S, C);
+    commitEntry(C, &Spec);
+    release(S, C);
+    refresh(S, C);
   }
+  S.Workers.wait(); // tasks abandoned to their workers
 
-  const size_t Window = std::max<size_t>(32, 8 * Workers.numThreads());
-
-  size_t Cursor = 0;
-  while (Cursor < Pool.size()) {
-    size_t End = std::min(Pool.size(), Cursor + Window);
-
-    // Rank stage: snapshot the top-t list of every live entry in the
-    // window against the current pool.
-    std::vector<AttemptTask> Tasks;
-    // Partners an earlier cache replay in this window is recorded to
-    // consume. They have no cached decision of their own (the cold run
-    // consumed them before their turn, so they never reached
-    // commitEntry), which means the lookup below cannot recognise them;
-    // without this set a warm run would rank and speculate them at full
-    // cost only to discard everything at commit.
-    std::unordered_set<uint32_t> ReplayConsumes;
-    for (size_t I = Cursor; I < End; ++I) {
-      if (Pool[I].Consumed)
-        continue;
-      // Entries with a cached decision never rank. When the recorded
-      // winner's partner is live right now, the task carries that one
-      // pair and the recorded attempt, and a worker builds the winner
-      // from its alignment; otherwise the task is inert. Either way
-      // commitEntry replays the entry — or, if the recorded partners no
-      // longer resolve by commit time, drops the worker's attempt and
-      // re-runs the entry inline exactly like the serial path. The
-      // recorded winner marks its partner as replay-consumed.
-      if (Cache) {
-        const CachedDecision *D =
-            Cache->lookup({Pool[I].Hash, Pool[I].HashOcc});
-        if (D) {
-          AttemptTask T;
-          T.PoolIdx = static_cast<uint32_t>(I);
-          T.Speculate = false;
-          if (D->Winner >= 0) {
-            const CachedAttempt &W =
-                D->Attempts[static_cast<size_t>(D->Winner)];
-            auto It = KeyToPool.find(W.Partner);
-            if (It != KeyToPool.end()) {
-              const uint32_t P = It->second;
-              if (P != I && !Pool[P].Consumed &&
-                  !ReplayConsumes.count(static_cast<uint32_t>(I)) &&
-                  !ReplayConsumes.count(P)) {
-                T.Hits.push_back(
-                    {W.Distance, P, Pool[P].ModuleId, /*EstProfit=*/0});
-                T.Replay = &W;
-                T.Speculate = true;
-              }
-              ReplayConsumes.insert(P);
-            }
-          }
-          Tasks.push_back(std::move(T));
-          continue;
-        }
-        if (ReplayConsumes.count(static_cast<uint32_t>(I))) {
-          // Recorded as a winning partner of an earlier replay in this
-          // window: it will be consumed before its own turn comes up, so
-          // snapshot ranking would be pure waste. The empty inline task
-          // keeps the serial fallback intact — if the predicting replay
-          // failed after all, commitEntry runs this entry live (and
-          // counts the miss) exactly like the serial path.
-          AttemptTask T;
-          T.PoolIdx = static_cast<uint32_t>(I);
-          T.Speculate = false;
-          Tasks.push_back(std::move(T));
-          continue;
-        }
-      }
-      AttemptTask T;
-      T.PoolIdx = static_cast<uint32_t>(I);
-      T.Hits = rank(I);
-      if (T.Hits.empty())
-        continue;
-      Tasks.push_back(std::move(T));
-    }
-
-    // Attempt stage: run every snapshot attempt on the worker pool.
-    // Workers only read the pool and the input functions (no commit ran
-    // since the snapshot) and build speculative functions in their own
-    // staging module; the shared Context interns under a lock.
-    if (!Tasks.empty()) {
-      std::atomic<size_t> NextTask{0};
-      for (size_t W = 0; W < State.size(); ++W) {
-        WorkerState &WS = State[W];
-        Workers.submit([this, &Tasks, &NextTask, &WS] {
-          for (;;) {
-            size_t T = NextTask.fetch_add(1, std::memory_order_relaxed);
-            if (T >= Tasks.size())
-              return;
-            AttemptTask &Task = Tasks[T];
-            if (!Task.Speculate)
-              continue; // inert: commit will run it inline
-            const PoolEntry &E1 = Pool[Task.PoolIdx];
-            AlignmentReplay AR;
-            if (Task.Replay)
-              AR = replayOf(*Task.Replay);
-            // Per-task guard: a failure *outside* the per-attempt guard
-            // (the TaskFailure fault point models infrastructure dying
-            // between attempts) drops the task's partial results and
-            // demotes it to the inline path — the commit stage re-runs
-            // the entry exactly like the serial driver, so task
-            // failures can only ever waste work, never change outcomes.
-            try {
-              if (FaultsPtr)
-                maybeInjectFault(*FaultsPtr, FaultKind::TaskFailure,
-                                 E1.F->getName());
-              Task.Attempts.reserve(Task.Hits.size());
-              for (const CandidateIndex::Hit &R : Task.Hits) {
-                const PoolEntry &E2 = Pool[R.Id];
-                MergeAttempt A = guardedAttempt(
-                    *E1.F, *E2.F, E1.CostSize, E2.CostSize,
-                    WS.Staging.get(), &WS.FailuresRun,
-                    Task.Replay ? &AR : nullptr);
-                ++WS.AttemptsRun;
-                WS.AlignmentSeconds += A.Stats.AlignmentSeconds;
-                WS.CodeGenSeconds += A.Stats.CodeGenSeconds;
-                Task.Attempts.push_back(std::move(A));
-              }
-            } catch (const std::exception &) {
-              for (MergeAttempt &A : Task.Attempts)
-                if (A.Valid)
-                  discardMerge(A);
-              Task.Attempts.clear();
-              Task.Speculate = false;
-              ++WS.TaskFailuresRun;
-            }
-          }
-        });
-      }
-      Workers.wait();
-    }
-
-    // Commit stage: serial, in pool order, with optimistic
-    // re-validation (see commitEntry). Inert tasks commit exactly like
-    // the serial path, with no conflict bookkeeping. Entries the snapshot
-    // loop never turned into tasks (already consumed, or silent: no live
-    // same-class candidate existed — and none can appear later, see the
-    // snapshot loop) still get their empty journal slot so the journal
-    // stays 1:1 with serial pool order at every thread count.
-    size_t TaskCursor = 0;
-    for (size_t I = Cursor; I < End; ++I) {
-      if (TaskCursor < Tasks.size() && Tasks[TaskCursor].PoolIdx == I) {
-        AttemptTask &T = Tasks[TaskCursor++];
-        commitEntry(T.PoolIdx, T.Speculate ? &T : nullptr);
-      } else {
-        PipelineEntryTrace Trace;
-        Trace.EntryFn = Pool[I].Consumed ? nullptr : Pool[I].F;
-        Journal.push_back(std::move(Trace));
-      }
-    }
-
-    Cursor = End;
+  // PeakAlignmentBytes is deliberately not folded: commitEntry already
+  // replays the serial per-attempt max, and folding in discarded
+  // speculative attempts would make the Fig 22 metric
+  // thread-count-dependent.
+  for (const std::unique_ptr<AttemptTask> &T : S.Tasks) {
+    Stats.SpeculativeAttempts += T->Ran;
+    Stats.SpeculativeFailures += T->GuardFired;
+    Stats.TaskFailures += T->Failed;
+    Stats.SpeculativeDiscarded += T->Discarded;
+    Stats.AlignmentSeconds += T->AlignmentSeconds;
+    Stats.CodeGenSeconds += T->CodeGenSeconds;
   }
+}
 
-  // Join the per-worker accumulators in worker order. PeakAlignmentBytes
-  // is deliberately NOT joined: commitEntry already replays the serial
-  // per-attempt max, and folding in discarded speculative attempts would
-  // make the Fig 22 metric thread-count-dependent.
-  for (const WorkerState &WS : State) {
-    Stats.SpeculativeAttempts += WS.AttemptsRun;
-    Stats.SpeculativeFailures += WS.FailuresRun;
-    Stats.TaskFailures += WS.TaskFailuresRun;
-    Stats.AlignmentSeconds += WS.AlignmentSeconds;
-    Stats.CodeGenSeconds += WS.CodeGenSeconds;
+void MergePipeline::lookAhead(Stream &S, size_t E) {
+  if (Pool[E].Consumed)
+    return;
+  Stream::Ahead &A = S.Entries[E];
+  // Entries with a cached decision never rank. When the recorded
+  // winner's partner is live right now, the task carries that one pair
+  // and the recorded attempt, and a worker builds the winner from its
+  // alignment; otherwise the entry waits for its turn. Either way
+  // commitEntry replays it — or, if the recorded partners no longer
+  // resolve by then, drops the worker's attempt and runs the entry inline
+  // exactly like the serial path. The recorded winner marks its partner
+  // as replay-consumed.
+  if (Cache) {
+    const DecisionKey Key{Pool[E].Hash, Pool[E].HashOcc};
+    if (const CachedDecision *D = Cache->lookup(Key)) {
+      if (D->Winner >= 0) {
+        const CachedAttempt &W = D->Attempts[static_cast<size_t>(D->Winner)];
+        auto It = KeyToPool.find(W.Partner);
+        if (It != KeyToPool.end() && It->second != E &&
+            !Pool[It->second].Consumed && !S.ReplayConsumes.count(Key) &&
+            !S.ReplayConsumes.count(W.Partner)) {
+          const uint32_t P = It->second;
+          schedule(S, E, {{W.Distance, P, Pool[P].ModuleId, 0}}, &W);
+        }
+        S.ReplayConsumes.insert(W.Partner);
+      }
+      return;
+    }
+    // Recorded as the winning partner of an earlier replay: it will be
+    // consumed before its own turn, so ranking it would be pure waste. If
+    // the predicting replay fails after all, commitEntry runs this entry
+    // live (and counts the miss) exactly like the serial path.
+    if (S.ReplayConsumes.count(Key))
+      return;
+  }
+  A.Slate = rank(E);
+  A.Ranked = true;
+  schedule(S, E, A.Slate, nullptr);
+}
+
+void MergePipeline::schedule(Stream &S, size_t E,
+                             const std::vector<CandidateIndex::Hit> &Slate,
+                             const CachedAttempt *Replay) {
+  using State = AttemptTask::State;
+  Stream::Ahead &A = S.Entries[E];
+  auto InSlate = [&Slate](uint32_t Id) {
+    return std::any_of(
+        Slate.begin(), Slate.end(),
+        [Id](const CandidateIndex::Hit &H) { return H.Id == Id; });
+  };
+  unsigned Jobs = 0;
+  {
+    std::lock_guard<std::mutex> Lock(S.Mutex);
+    for (AttemptTask *T : A.Tasks)
+      if (T->St == State::Queued && !InSlate(T->PartnerIdx)) {
+        S.Queue.erase({T->PoolIdx, T->Seq});
+        T->St = State::Cancelled;
+      }
+    for (const CandidateIndex::Hit &H : Slate) {
+      // A queued, running or finished attempt of this pair is current
+      // until a commit retires one of its inputs.
+      if (std::any_of(A.Tasks.begin(), A.Tasks.end(), [&H](AttemptTask *T) {
+            return T->PartnerIdx == H.Id &&
+                   (T->St == State::Queued || T->St == State::Running ||
+                    (T->St == State::Done && !T->Failed));
+          }))
+        continue;
+      auto T = std::make_unique<AttemptTask>();
+      T->PoolIdx = static_cast<uint32_t>(E);
+      T->PartnerIdx = H.Id;
+      T->Seq = static_cast<uint32_t>(S.Tasks.size());
+      T->F1 = Pool[E].F;
+      T->F2 = Pool[H.Id].F;
+      T->CostSize1 = Pool[E].CostSize;
+      T->CostSize2 = Pool[H.Id].CostSize;
+      T->Replay = Replay;
+      S.Queue.emplace(std::make_pair(T->PoolIdx, T->Seq), T.get());
+      A.Tasks.push_back(T.get());
+      S.Tasks.push_back(std::move(T));
+      ++Jobs;
+    }
+  }
+  // One job per task: a job runs whichever queued task is most urgent
+  // when it starts, so no task is left without a job to run it.
+  for (; Jobs; --Jobs)
+    S.Workers.submit([this, &S] { runNextTask(S); });
+}
+
+void MergePipeline::runNextTask(Stream &S) {
+  AttemptTask *T = nullptr;
+  std::vector<std::unique_ptr<Module>> Dead;
+  {
+    std::lock_guard<std::mutex> Lock(S.Mutex);
+    Dead.swap(S.Dead[std::this_thread::get_id()]);
+    if (!S.Queue.empty()) {
+      T = S.Queue.begin()->second;
+      S.Queue.erase(S.Queue.begin());
+      T->St = AttemptTask::State::Running;
+    }
+  }
+  // The staging modules this worker built for entries the commit thread
+  // is through with die here, off the commit thread, before it builds
+  // anything new.
+  Dead.clear();
+  if (!T)
+    return; // its task was cancelled or taken by another job
+
+  // The task only reads its inputs' bodies — no input body changes before
+  // the stream drains (thunks come after it) — and builds into its own
+  // staging module; the shared Context interns under a lock.
+  T->Builder = std::this_thread::get_id();
+  T->Staging = std::make_unique<Module>(S.StagingName, Host.getContext());
+  T->Staging->setStaging(true);
+  AlignmentReplay AR;
+  if (T->Replay)
+    AR = replayOf(*T->Replay);
+  // Per-task guard: a failure *outside* the attempt guard (the
+  // TaskFailure fault point models infrastructure dying before the
+  // attempt) drops the task — the commit stage then runs the pair inline
+  // exactly like the serial driver, so task failures can only ever waste
+  // work, never change outcomes. Whatever is thrown, the task finishes:
+  // the commit thread may be waiting for it.
+  try {
+    if (FaultsPtr)
+      maybeInjectFault(*FaultsPtr, FaultKind::TaskFailure, T->F1->getName());
+    unsigned GuardCatches = 0;
+    T->Attempt = guardedAttempt(*T->F1, *T->F2, T->CostSize1, T->CostSize2,
+                                T->Staging.get(), &GuardCatches,
+                                T->Replay ? &AR : nullptr);
+    T->Ran = true;
+    T->GuardFired = GuardCatches != 0;
+    T->AlignmentSeconds = T->Attempt.Stats.AlignmentSeconds;
+    T->CodeGenSeconds = T->Attempt.Stats.CodeGenSeconds;
+  } catch (...) {
+    T->Attempt = MergeAttempt();
+    T->Failed = true;
+  }
+  {
+    std::lock_guard<std::mutex> Lock(S.Mutex);
+    if (T->St == AttemptTask::State::Abandoned)
+      S.handBack(*T);
+    else
+      T->St = AttemptTask::State::Done;
+  }
+  S.Finished.notify_all();
+}
+
+MergePipeline::Speculation MergePipeline::claim(Stream &S, size_t E) {
+  Stream::Ahead &A = S.Entries[E];
+  Speculation Spec;
+  if (A.Ranked)
+    Spec.Slate = &A.Slate;
+  if (A.Tasks.empty())
+    return Spec;
+  std::unique_lock<std::mutex> Lock(S.Mutex);
+  // A task no worker has started is cheaper to run here: commitEntry
+  // attempts its candidates inline against the current slate.
+  for (AttemptTask *T : A.Tasks)
+    if (T->St == AttemptTask::State::Queued) {
+      S.Queue.erase({T->PoolIdx, T->Seq});
+      T->St = AttemptTask::State::Cancelled;
+    }
+  S.Finished.wait(Lock, [&A] {
+    return std::none_of(A.Tasks.begin(), A.Tasks.end(), [](AttemptTask *T) {
+      return T->St == AttemptTask::State::Running;
+    });
+  });
+  for (AttemptTask *T : A.Tasks)
+    if (T->St == AttemptTask::State::Done && !T->Failed)
+      Spec.Done.push_back(T);
+  return Spec;
+}
+
+void MergePipeline::release(Stream &S, size_t E) {
+  Stream::Ahead &A = S.Entries[E];
+  if (!A.Tasks.empty()) {
+    std::lock_guard<std::mutex> Lock(S.Mutex);
+    for (AttemptTask *T : A.Tasks)
+      switch (T->St) {
+      case AttemptTask::State::Queued:
+        S.Queue.erase({T->PoolIdx, T->Seq});
+        T->St = AttemptTask::State::Cancelled;
+        break;
+      case AttemptTask::State::Running:
+        T->St = AttemptTask::State::Abandoned; // its worker hands it back
+        break;
+      case AttemptTask::State::Done:
+        S.handBack(*T);
+        break;
+      default:
+        break;
+      }
+  }
+  A = Stream::Ahead();
+}
+
+void MergePipeline::refresh(Stream &S, size_t C) {
+  // The commit of C retired its inputs (and perhaps quarantined a
+  // partner). Every look-ahead slate listed live candidates only when it
+  // was ranked, so a consumed candidate in one marks exactly the slates
+  // this commit staled.
+  auto Staled = [this](const std::vector<CandidateIndex::Hit> &Slate) {
+    return std::any_of(
+        Slate.begin(), Slate.end(),
+        [this](const CandidateIndex::Hit &H) { return Pool[H.Id].Consumed; });
+  };
+  for (size_t E = C + 1; E < S.Next; ++E) {
+    Stream::Ahead &A = S.Entries[E];
+    if (Pool[E].Consumed) {
+      release(S, E);
+    } else if (A.Ranked && Staled(A.Slate)) {
+      A.Slate = rank(E);
+      schedule(S, E, A.Slate, nullptr);
+    }
   }
 }
 
@@ -874,6 +992,12 @@ void MergePipeline::run() {
     runSerial(); // tiny pools fall back to the serial path
   else
     runParallel(NumThreads);
+  // Thunk both inputs of every commit (each in its own module), in commit
+  // order. Nothing reads a consumed input's body, so building them last
+  // yields the bytes of thunking at commit time.
+  for (MergeAttempt &A : Thunks)
+    commitMerge(A, Host.getContext());
+  Thunks.clear();
   Stats.AdaptiveThresholdFinal = CurrentT;
   Stats.PairingDistanceCalls = Index.stats().DistanceCalls;
   Stats.PairingProbes = Index.stats().SeedProbes + Index.stats().ExpansionSteps;

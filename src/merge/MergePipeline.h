@@ -14,8 +14,9 @@
 ///             for one (entry, candidate) pair (the expensive part;
 ///             side-effect free with respect to the real module when
 ///             given a staging module, hence parallelizable);
-///   commit  - profit selection, thunking, pool retire/insert (serial:
-///             the only stage that mutates the real module and the pool).
+///   commit  - profit selection, pool retire/insert (serial: the only
+///             stage that mutates the pool), then thunking once the run
+///             is through (the only mutation of an input body).
 ///
 /// Under MergeDriverOptions::HashClustering a cluster stage precedes them
 /// once per run: exact-clone clustering (merge/StructuralHash.h) commits
@@ -26,22 +27,38 @@
 /// pool entry, reproducing the legacy serial driver bit for bit (same
 /// attempts, same records, same merged-function names, same module).
 ///
-/// With NumThreads > 1 the pipeline runs *optimistic rounds* in the
-/// spirit of "Optimistic Global Function Merger" (Lee et al.): the rank
-/// stage snapshots the top-t lists for a window of live pool entries,
-/// the attempt stage runs every snapshot attempt on a worker pool (each
-/// worker building speculative functions in its own staging module), and
-/// the serial commit stage walks the window in pool order re-validating
-/// each entry's ranking against the *current* pool. A speculative
-/// attempt is reused only when its candidate still appears in the
-/// re-validated list — its inputs are then provably untouched — and any
-/// candidate the snapshot missed (consumed inputs, fresh remerge
-/// functions) is re-attempted inline. Commits therefore happen in
-/// exactly the serial order with exactly the serial outcomes: every
-/// thread count produces identical merges, records, names, and final
-/// modules, and stale speculation only costs wasted worker time.
-/// Unique-name allocation is replayed at commit time so that even the
-/// name counters advance exactly as in the serial driver.
+/// With NumThreads > 1 the pipeline runs an *attempt stream* in the
+/// spirit of "Optimistic Global Function Merger" (Lee et al.: speculate,
+/// validate at commit, reuse). The commit thread walks the pool in order
+/// with no barrier. It keeps the next 4 x NumThreads entries ranked ahead
+/// of their turn, each (entry, candidate) pair of a look-ahead slate a
+/// task on the worker pool, most urgent entry first. At an entry's turn
+/// it runs the entry's unstarted tasks itself (they are cancelled and
+/// attempted inline) and waits for exactly its running ones; then the
+/// commit stage re-validates the entry's ranking against the *current*
+/// pool. A speculative attempt is reused only when its candidate still
+/// appears in the re-validated list — its inputs are then provably
+/// untouched — and any candidate the look-ahead missed (fresh remerge
+/// functions) is re-attempted inline. After each commit, at that fixed
+/// point, the commit thread re-ranks every look-ahead entry whose slate
+/// lists a candidate the commit retired: queued tasks of dropped
+/// candidates are cancelled and new candidates get new tasks; an entry
+/// the commit consumed has its queued tasks cancelled and its running
+/// ones abandoned. Every ranking happens on the commit thread at points
+/// the commit cursor alone fixes, so the pairing work repeats exactly at
+/// a given thread count. Three rules keep workers and commit race-free:
+/// each task builds into its own staging module, which the commit thread
+/// owns once the task is done and then hands back to the worker that
+/// built it, to destroy before that worker starts its next task; inputs
+/// are thunked only after the stream drains, so no input body changes
+/// while a task may read it; and a task copies its inputs out of the
+/// pool, whose storage moves when a commit appends a remerge entry.
+/// Commits therefore happen in exactly the serial order with exactly the
+/// serial outcomes: every thread count produces identical merges,
+/// records, names, and final modules, and stale speculation only costs
+/// wasted worker time. Unique-name allocation is replayed at commit time
+/// so that even the name counters advance exactly as in the serial
+/// driver.
 ///
 /// The pipeline is module-set-agnostic and always runs over one
 /// merge-compatibility class of a session: runClassPipelines (below),
@@ -65,11 +82,11 @@
 /// non-winners are skipped — burning the exact unique-name sequence of
 /// the cold run — and the recorded winner is attempted with its recorded
 /// alignment, behind the same containment, firewall and quarantine
-/// accounting as a live attempt. Replay shares the optimistic attempt
-/// stage too: when a cached winner's partner is live at snapshot time, a
-/// worker builds the winner from its recorded alignment, and the commit
-/// stage reuses that attempt under the same rule as a live one (both
-/// inputs still unconsumed).
+/// accounting as a live attempt. Replay shares the attempt stream too:
+/// a cache-hit entry never ranks; when its cached winner's partner is
+/// live as the entry enters the look-ahead, a worker builds the winner
+/// from its recorded alignment, and the commit stage reuses that attempt
+/// under the same rule as a live one (both inputs still unconsumed).
 ///
 /// Failure containment (see "Failure containment & fault injection" in
 /// src/merge/README.md): every attempt runs behind an attempt guard that
@@ -95,6 +112,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -282,38 +300,58 @@ private:
     uint32_t HashOcc = 0;
   };
 
-  /// Snapshot work unit for one pool entry in an optimistic round.
+  /// One speculative attempt of the attempt stream: pool entry PoolIdx
+  /// against one candidate of its look-ahead slate, run by a worker into
+  /// the task's own staging module. Both inputs are copied out of the pool
+  /// when the task is scheduled: workers never read Pool, whose storage
+  /// moves when a commit appends a remerge entry.
   struct AttemptTask {
+    enum class State {
+      Queued,    ///< waiting for a worker; the commit thread may cancel it
+      Running,   ///< a worker owns Attempt and Staging
+      Done,      ///< the commit thread owns Attempt and Staging
+      Cancelled, ///< taken back before any worker started it
+      Abandoned, ///< its entry was consumed while a worker ran it
+    };
     uint32_t PoolIdx = 0;
-    /// A live entry's snapshot top-t ranking; for a cache-hit entry, the
-    /// recorded winner's partner alone.
-    std::vector<CandidateIndex::Hit> Hits;
-    std::vector<MergeAttempt> Attempts;    ///< parallel results, 1:1 with Hits
+    uint32_t PartnerIdx = 0;
+    uint32_t Seq = 0; ///< creation order: the queue's tie-break
+    Function *F1 = nullptr;
+    Function *F2 = nullptr;
+    unsigned CostSize1 = 0;
+    unsigned CostSize2 = 0;
     /// The recorded winning attempt of a cache-hit entry (null for live
-    /// entries): workers build it with its alignment replayed, and only a
-    /// cache hit's slate may reuse the result — commitEntry drops it when
+    /// entries): the worker builds it with its alignment replayed, and only
+    /// a cache hit's slate may reuse the result — commitEntry drops it when
     /// the entry misses.
     const CachedAttempt *Replay = nullptr;
-    /// False for inert tasks — cache-hit entries whose winner cannot be
-    /// built ahead (dry decisions, partners that do not resolve to a live
-    /// entry at snapshot time), partners an earlier replay in the window
-    /// is predicted to consume, and tasks a worker failure demoted:
-    /// workers leave them alone and the commit stage runs them inline,
-    /// exactly like the serial path.
-    bool Speculate = true;
-  };
-
-  /// Per-worker accumulators, merged into Stats in worker order at join
-  /// (satisfying determinism of the aggregation structure — no shared
-  /// clock, no cross-thread increments).
-  struct WorkerState {
-    std::unique_ptr<Module> Staging; ///< owns this worker's speculative fns
-    unsigned AttemptsRun = 0;
-    unsigned FailuresRun = 0;     ///< attempt-guard catches on this worker
-    unsigned TaskFailuresRun = 0; ///< whole tasks recovered on this worker
+    MergeAttempt Attempt; ///< the worker's result
+    /// Owns the function the task built. Handed back by the commit thread
+    /// once the entry is through, and destroyed whole by the worker that
+    /// built it before that worker starts its next task (ir/README.md,
+    /// invariant 4).
+    std::unique_ptr<Module> Staging;
+    std::thread::id Builder; ///< the worker that ran the task
+    State St = State::Queued;
+    bool Failed = false; ///< the per-task guard fired: no attempt survives
+    // Work accounting, folded into Stats when the stream drains.
+    bool Ran = false;       ///< the attempt ran (guarded) on the worker
+    bool GuardFired = false; ///< the attempt guard caught a throw
+    bool Discarded = false;  ///< a valid attempt no commit took
     double AlignmentSeconds = 0;
     double CodeGenSeconds = 0;
   };
+
+  /// What the commit stage may reuse for one entry: its finished tasks,
+  /// and the slate it was last ranked with ahead of its turn (null when it
+  /// never ranked ahead: cache hits and the partners replays will take).
+  struct Speculation {
+    std::vector<AttemptTask *> Done;
+    const std::vector<CandidateIndex::Hit> *Slate = nullptr;
+  };
+
+  /// runParallel's shared state (MergePipeline.cpp).
+  struct Stream;
 
   // --- rank stage -----------------------------------------------------------
   /// Clusters the class's members (under HashClustering) into
@@ -328,8 +366,9 @@ private:
   /// with ProfitModel estimates and re-ranked by (bucketed profit,
   /// same-module, distance, id) before truncation to t. rank() itself
   /// never advances selection state (model EMA, adaptive t) — only the
-  /// serial commit stage does — so parallel snapshot calls and the
-  /// authoritative commit-stage re-rank share this one entry point.
+  /// serial commit stage does — so the stream's look-ahead ranking and
+  /// the authoritative commit-stage re-rank share this one entry point.
+  /// Called on the commit thread only.
   std::vector<CandidateIndex::Hit> rank(size_t I);
   /// The exploration threshold the next entry will use: the configured
   /// t, or the adaptively driven one under SelectionStrategy::Adaptive.
@@ -346,8 +385,9 @@ private:
   /// every other slot reuses its matching speculative attempt from \p
   /// Spec (null in the serial path) or runs inline, and the most
   /// profitable one commits. Exactly replays the serial driver's attempt
-  /// order, record order and name allocation.
-  void commitEntry(size_t I, AttemptTask *Spec);
+  /// order, record order and name allocation. Attempts of \p Spec it does
+  /// not take stay in their tasks for the caller to release.
+  void commitEntry(size_t I, Speculation *Spec);
   /// The commit-stage attempt of entry \p I with partner \p PartnerIdx.
   /// Reuses the Valid speculative attempt \p Spec holds for exactly that
   /// partner, burning into \p StagedName the unique name the serial
@@ -355,20 +395,19 @@ private:
   /// inline into Materialize (with \p Replay's alignment, when set) and
   /// leaves \p StagedName empty. The caller must have checked that both
   /// inputs are unconsumed — that is what makes a reused attempt current.
-  MergeAttempt attemptAt(size_t I, uint32_t PartnerIdx, AttemptTask *Spec,
+  MergeAttempt attemptAt(size_t I, uint32_t PartnerIdx, Speculation *Spec,
                          std::string &StagedName,
                          const AlignmentReplay *Replay = nullptr);
   /// The commit tail of commitEntry: adopts a staged \p Best into
   /// Materialize under \p StagedName (empty: it was generated there),
-  /// thunks both its inputs (entry \p I, partner \p PartnerIdx), marks
-  /// record \p BestRecord committed, retires both inputs, offers the
-  /// merged function back to the pool and journals \p Trace with the
-  /// winner at offset \p WinnerOffset of its partners.
+  /// queues the thunking of both its inputs (entry \p I, partner \p
+  /// PartnerIdx) for run() to do after the stream drains, marks record
+  /// \p BestRecord committed, retires both inputs, offers the merged
+  /// function back to the pool and journals \p Trace with the winner at
+  /// offset \p WinnerOffset of its partners.
   void commitWinner(size_t I, size_t PartnerIdx, MergeAttempt &Best,
                     const std::string &StagedName, size_t BestRecord,
                     size_t WinnerOffset, PipelineEntryTrace &Trace);
-  /// Discards every speculative attempt of \p Spec not consumed yet.
-  void discardRemaining(AttemptTask &Spec);
   /// Guarded attempt: attemptMerge behind the attempt guard. Every
   /// exception (injected or real) is converted into an invalid attempt
   /// with AttemptOutcome::Faulted — the session never dies on one pair.
@@ -407,7 +446,33 @@ private:
 
   // --- orchestration --------------------------------------------------------
   void runSerial();
+  /// The attempt stream: entries commit in pool order on this thread
+  /// while NumThreads workers run the speculative tasks of the next
+  /// LookaheadPerThread x NumThreads entries.
   void runParallel(unsigned NumThreads);
+  /// Ranks entry \p E ahead of its turn (or, on a cache hit, predicts its
+  /// replay) and schedules its task.
+  void lookAhead(Stream &S, size_t E);
+  /// Brings \p E's tasks in line with \p Slate: queued tasks whose
+  /// candidate left it are cancelled, and every candidate no task covers
+  /// gets a new one.
+  void schedule(Stream &S, size_t E,
+                const std::vector<CandidateIndex::Hit> &Slate,
+                const CachedAttempt *Replay);
+  /// Worker job: destroys the staging modules handed back to this worker,
+  /// then runs the most urgent queued task, if any is left.
+  void runNextTask(Stream &S);
+  /// \p E's turn: cancels its queued tasks (the commit stage runs those
+  /// attempts itself) and waits for the running ones.
+  Speculation claim(Stream &S, size_t E);
+  /// Lets go of every task of \p E: queued ones are cancelled, running
+  /// ones abandoned to their worker, finished ones handed back with their
+  /// unused attempts counted as discarded.
+  void release(Stream &S, size_t E);
+  /// The fixed point after the commit of entry \p C: releases look-ahead
+  /// entries the commit consumed and re-ranks those whose slate lists a
+  /// candidate it retired.
+  void refresh(Stream &S, size_t C);
 
   std::vector<Module *> Modules;
   Module &Host; ///< the logical host; a member of Modules
@@ -435,6 +500,12 @@ private:
 
   std::vector<PoolEntry> Pool;
   CandidateIndex Index;
+  /// Committed attempts in commit order. run() builds their inputs' thunk
+  /// bodies once every entry is through, so no input body changes while a
+  /// speculative task may still read it.
+  std::vector<MergeAttempt> Thunks;
+  /// Look-ahead depth of the attempt stream per worker thread.
+  static constexpr unsigned LookaheadPerThread = 4;
 
   // --- profit-guided selection state ----------------------------------------
   // Everything below only ever advances inside commitEntry (the serial

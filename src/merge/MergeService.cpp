@@ -157,7 +157,8 @@ MergeServiceStats MergeService::DeltaBatch::apply(const MergeDelta &Delta) {
 
 MergeServiceStats MergeService::applyDeltaLocked(
     const MergeDelta &Delta,
-    const std::unordered_set<const Function *> &BatchCheckouts) {
+    [[maybe_unused]] const std::unordered_set<const Function *>
+        &BatchCheckouts) {
   assert(Initialized && "applyDelta before initialize()");
   ++Epoch;
   MergeServiceStats Out;

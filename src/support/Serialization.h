@@ -64,6 +64,19 @@ template <typename... Bools> BitFlags<sizeof...(Bools)> bitFlags(Bools &...B) {
   return {{&B...}};
 }
 
+/// Fixed-width integers and pairs of them encode as their bytes alone, so
+/// a vector of them is one block of Size bytes per element: the writer
+/// and reader move it through a local pointer in one pass.
+template <typename T> struct PlainLayout {
+  static constexpr bool Value =
+      std::is_integral_v<T> && !std::is_same_v<T, bool>;
+  static constexpr size_t Size = sizeof(T);
+};
+template <typename A, typename B> struct PlainLayout<std::pair<A, B>> {
+  static constexpr bool Value = PlainLayout<A>::Value && PlainLayout<B>::Value;
+  static constexpr size_t Size = PlainLayout<A>::Size + PlainLayout<B>::Size;
+};
+
 /// Append-only little-endian encoder.
 class ByteWriter {
 public:
@@ -104,8 +117,25 @@ private:
   }
   template <typename T> void put(const std::vector<T> &V) {
     put(static_cast<uint32_t>(V.size()));
-    for (const T &E : V)
-      put(E);
+    if constexpr (PlainLayout<T>::Value) {
+      const size_t At = Buf.size();
+      Buf.resize(At + V.size() * PlainLayout<T>::Size);
+      uint8_t *Out = Buf.data() + At;
+      for (const T &E : V)
+        Out = store(Out, E);
+    } else {
+      for (const T &E : V)
+        put(E);
+    }
+  }
+  template <typename T> static uint8_t *store(uint8_t *Out, const T &V) {
+    if constexpr (std::is_integral_v<T>) {
+      for (size_t I = 0; I < sizeof(T); ++I)
+        Out[I] = static_cast<uint8_t>(static_cast<uint64_t>(V) >> (8 * I));
+      return Out + sizeof(T);
+    } else {
+      return store(store(Out, V.first), V.second);
+    }
   }
   template <typename A, typename B> void put(const std::pair<A, B> &P) {
     put(P.first);
@@ -188,8 +218,25 @@ private:
     if (!Ok)
       return;
     V.assign(N, T());
-    for (T &E : V)
-      get(E);
+    if constexpr (PlainLayout<T>::Value) {
+      const uint8_t *In = take(N * PlainLayout<T>::Size);
+      for (T &E : V)
+        In = load(In, E);
+    } else {
+      for (T &E : V)
+        get(E);
+    }
+  }
+  template <typename T> static const uint8_t *load(const uint8_t *In, T &V) {
+    if constexpr (std::is_integral_v<T>) {
+      uint64_t U = 0;
+      for (size_t I = 0; I < sizeof(T); ++I)
+        U |= static_cast<uint64_t>(In[I]) << (8 * I);
+      V = static_cast<T>(U);
+      return In + sizeof(T);
+    } else {
+      return load(load(In, V.first), V.second);
+    }
   }
   template <typename A, typename B> void get(std::pair<A, B> &P) {
     get(P.first);

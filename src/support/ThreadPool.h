@@ -9,12 +9,13 @@
 /// stage. Jobs are opaque callables executed in FIFO order by a fixed set
 /// of threads; wait() blocks the caller until every submitted job has
 /// finished, establishing a happens-before edge between all worker writes
-/// and the caller (the property the optimistic commit stage relies on).
+/// and the caller.
 ///
 /// The pool is deliberately small: no futures, no task stealing, no
-/// priorities. Callers that need per-worker state (staging modules,
-/// timer accumulators) submit one "drain" job per worker slot, each
-/// pulling shared work items off an atomic cursor.
+/// priorities. A caller that needs an order of its own keeps its work in
+/// its own queue and submits one job per item, each taking whichever
+/// item comes first when it starts (MergePipeline's attempt stream runs
+/// the most urgent task that way).
 ///
 /// A throwing job does NOT terminate the process: the first exception a
 /// worker observes is captured (std::exception_ptr) and rethrown from

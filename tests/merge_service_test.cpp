@@ -305,11 +305,12 @@ TEST(MergeServiceTest, IncrementalEquivalentToFromScratchEverywhere) {
           if (St.DirtyClasses < St.TotalClasses) {
             SawPartialDirty = true;
             EXPECT_LT(St.EpochAttempts, Cold.Attempts) << Tag;
-            if (NT == 1)
+            if (NT == 1) {
               EXPECT_LT(St.EpochPairingDistanceCalls +
                             St.EpochPairingProbes,
                         Cold.PairingWork)
                   << Tag;
+            }
           }
         }
         EXPECT_EQ(Svc.fullRemerges(), 0u) << Cfg;

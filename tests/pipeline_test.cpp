@@ -7,11 +7,11 @@
 // produces the same records in the same (serial) order, allocates the
 // same merged-function names, and leaves behind a byte-identical module
 // print. These tests run the driver over randomized clone-heavy modules
-// at NumThreads in {1, 2, 4, 8} — on pools that span several optimistic
-// commit rounds — and compare everything observable; the
-// same binary runs under ThreadSanitizer in the SALSSA_TSAN=ON
-// configuration, which additionally proves the attempt stage races on
-// nothing.
+// at NumThreads in {1, 2, 3, 4, 8} — on pools longer than the attempt
+// stream's look-ahead, and on one shorter than it that grows at its tail
+// — and compare everything observable; the same binary runs under
+// ThreadSanitizer in the SALSSA_TSAN=ON configuration, which additionally
+// proves the attempt stage races on nothing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +21,7 @@
 #include "merge/MergeDriver.h"
 #include "support/ThreadPool.h"
 #include "workloads/Suites.h"
+#include <algorithm>
 #include <atomic>
 #include <gtest/gtest.h>
 
@@ -28,9 +29,10 @@ using namespace salssa;
 
 namespace {
 
-/// Pool size of the thread-determinism tests: larger than the optimistic
-/// commit window (max(32, 8 x threads)) at 2, 4 and 8 threads, so every
-/// parallel run spans several commit rounds.
+/// Pool size of the thread-determinism tests: longer than the attempt
+/// stream's look-ahead (4 x threads entries) at 2, 4 and 8 threads, so
+/// every parallel run commits entries while later ones are ranked ahead
+/// and attempted on the workers.
 constexpr unsigned MultiRoundPool = 72;
 
 BenchmarkProfile pipelineProfile(uint64_t Seed,
@@ -58,6 +60,10 @@ struct RunOutcome {
   uint64_t ModuleSize = 0;
   std::string ModulePrint;
   bool VerifierOk = false;
+  // Not compared by expectSameOutcome: they depend on the thread count.
+  uint64_t PairingDistanceCalls = 0;
+  uint64_t PairingProbes = 0;
+  unsigned CommitConflicts = 0;
 };
 
 RunOutcome runDriver(const BenchmarkProfile &P, MergeDriverOptions DO,
@@ -75,6 +81,9 @@ RunOutcome runDriver(const BenchmarkProfile &P, MergeDriverOptions DO,
   O.ModuleSize = estimateModuleSize(*M, TargetArch::X86Like);
   O.ModulePrint = printModule(*M);
   O.VerifierOk = verifyModule(*M).ok();
+  O.PairingDistanceCalls = S.PairingDistanceCalls;
+  O.PairingProbes = S.PairingProbes;
+  O.CommitConflicts = S.CommitConflicts;
   return O;
 }
 
@@ -126,6 +135,53 @@ TEST(PipelineTest, HardwareThreadCountResolvesAndMatchesSerial) {
   RunOutcome Serial = runDriver(P, DO, 1);
   // NumThreads = 0 resolves to the hardware concurrency, whatever it is.
   expectSameOutcome(runDriver(P, DO, 0), Serial, "threads=hw");
+}
+
+TEST(PipelineTest, StreamRankingWorkRepeatsExactly) {
+  // The attempt stream ranks only on the commit thread, at points the
+  // commit cursor fixes — never because a worker did or did not start a
+  // task yet — so one pool at one thread count does the same pairing work
+  // every run, however the workers are scheduled.
+  BenchmarkProfile P = pipelineProfile(5);
+  MergeDriverOptions DO;
+  DO.ExplorationThreshold = 3;
+  RunOutcome First = runDriver(P, DO, 4);
+  EXPECT_GT(First.PairingDistanceCalls, 0u);
+  for (unsigned Run = 1; Run < 5; ++Run) {
+    RunOutcome Again = runDriver(P, DO, 4);
+    std::string Tag = "run " + std::to_string(Run);
+    EXPECT_EQ(Again.PairingDistanceCalls, First.PairingDistanceCalls) << Tag;
+    EXPECT_EQ(Again.PairingProbes, First.PairingProbes) << Tag;
+    EXPECT_EQ(Again.CommitConflicts, First.CommitConflicts) << Tag;
+    expectSameOutcome(Again, First, Tag);
+  }
+}
+
+TEST(PipelineTest, StreamGrowsAtItsTail) {
+  // One clone family shorter than the look-ahead at every thread count
+  // below: merged functions re-enter the pool inside the look-ahead, and
+  // one merges again, so the stream ranks and schedules entries that did
+  // not exist when it started.
+  BenchmarkProfile P = pipelineProfile(31, 7);
+  P.CloneFamilyPercent = 100;
+  P.MinFamily = P.MaxFamily = 7;
+  P.FamilyDriftPercent = 4;
+  MergeDriverOptions DO;
+  DO.ExplorationThreshold = 2;
+  RunOutcome Serial = runDriver(P, DO, 1);
+  ASSERT_TRUE(Serial.VerifierOk);
+  auto Remerge = [](const std::string &Name) {
+    return Name.find(".m") != std::string::npos;
+  };
+  EXPECT_TRUE(std::any_of(Serial.Records.begin(), Serial.Records.end(),
+                          [&Remerge](const auto &R) {
+                            return std::get<2>(R) && (Remerge(std::get<0>(R)) ||
+                                                      Remerge(std::get<1>(R)));
+                          }))
+      << "no merged function merged again";
+  for (unsigned NT : {2u, 3u, 4u, 8u})
+    expectSameOutcome(runDriver(P, DO, NT), Serial,
+                      "threads=" + std::to_string(NT));
 }
 
 TEST(PipelineTest, NoRemergeStaysDeterministic) {

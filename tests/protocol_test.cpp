@@ -665,8 +665,9 @@ TEST(Payloads, EveryBodyDecodesOnlyToItsExactBytes) {
         Bad[At] = 2;
       T Back;
       ByteReader R(Bad.data(), Bad.size());
-      if (Back.decode(R))
+      if (Back.decode(R)) {
         EXPECT_EQ(hexOf(bodyBytes(Back)), hexOf(Bad)) << "byte " << At;
+      }
     }
   };
   check(goldenRegister());

@@ -40,9 +40,9 @@ namespace {
 /// in sync with MergePipeline::AdaptiveRange.
 constexpr unsigned AdaptiveRange = 4;
 
-/// Pool size of the thread-determinism tests: larger than the optimistic
-/// commit window (max(32, 8 x threads)) at 2 and 4 threads, so parallel
-/// runs span several commit rounds.
+/// Pool size of the thread-determinism tests: longer than the attempt
+/// stream's look-ahead (4 x threads entries) at 2 and 4 threads, so
+/// parallel runs commit entries while later ones are ranked ahead.
 constexpr unsigned MultiRoundPool = 72;
 
 BenchmarkProfile cloneHeavyProfile(uint64_t Seed,

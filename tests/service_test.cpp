@@ -173,8 +173,9 @@ void expectSnapshotMatchesMirror(const StatsSnapshot &S, const Mirror &M,
   EXPECT_EQ(S.CrossModuleMerges, M.Last.Session.CrossModuleMerges) << Tag;
   EXPECT_EQ(S.SizeBefore, M.Last.Session.SizeBefore) << Tag;
   EXPECT_EQ(S.SizeAfter, M.Last.Session.SizeAfter) << Tag;
-  if (CompareWork)
+  if (CompareWork) {
     EXPECT_EQ(S.Attempts, M.Last.Session.Driver.Attempts) << Tag;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -259,8 +260,9 @@ TEST(ServiceDaemon, ConcurrentClientsMatchInProcessAcrossMatrix) {
         while (!Done.load()) {
           QueryStatsResponse Resp;
           DaemonClient::Result RR = Client.queryStats(false, Resp);
-          if (RR.TransportOk && RR.Status == StatusCode::Ok)
+          if (RR.TransportOk && RR.Status == StatusCode::Ok) {
             EXPECT_LE(Resp.Stats.SizeAfter, Resp.Stats.SizeBefore) << Tag;
+          }
           std::this_thread::sleep_for(std::chrono::milliseconds(5));
         }
       };

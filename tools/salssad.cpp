@@ -11,7 +11,7 @@
 // --decision-cache — across its own restarts (the first session after a
 // restart warm-replays from the cache file).
 //
-//   salssad --socket=/tmp/salssad.sock \
+//   salssad --socket=/tmp/salssad.sock
 //           [--decision-cache=PATH]    # warm-restart cache file
 //           [--hash-clustering]        # exact-clone pre-clustering
 //           [--quarantine-decay=N]     # strike decay, in epochs
